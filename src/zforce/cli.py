@@ -11,9 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import codec
@@ -145,8 +143,7 @@ def _cmd_bounds(args, parser) -> int:
     return EXIT_VIOLATION if report.violations else EXIT_OK
 
 
-def _verify_line(item: tuple[int, str], exact_limit: int, hunt: bool) -> dict:
-    lineno, line = item
+def _verify_line(lineno: int, line: str, exact_limit: int, hunt: bool) -> dict:
     try:
         g = codec.parse_graph6(line)
     except ValueError as exc:
@@ -173,22 +170,14 @@ def _cmd_verify(args, parser) -> int:
     if args.g6 is not None:
         lines = [args.g6]
     else:
-        text = sys.stdin.read() if args.source in (None, "-") else open(args.source, encoding="ascii").read()
+        text = _read_source(args)
         lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    items = list(enumerate(lines, start=1))
-    threads = max(1, int(os.environ.get("ZFORCE_THREADS", "1")))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(
-                lambda it: _verify_line(it, args.exact_limit, args.hunt_conjecture),
-                items))
-    else:
-        records = [_verify_line(it, args.exact_limit, args.hunt_conjecture)
-                   for it in items]
+    records = [_verify_line(lineno, line, args.exact_limit, args.hunt_conjecture)
+               for lineno, line in enumerate(lines, start=1)]
     violations = 0
     counterexamples = 0
     errors = 0
-    for record in records:  # records re-emitted in input order
+    for record in records:
         violations += len(record.get("violations", ()))
         errors += 1 if "error" in record else 0
         if record.get("conjecture_counterexample"):

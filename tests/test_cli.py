@@ -133,17 +133,6 @@ def test_verify_reports_malformed_lines(tmp_path, capsys):
     assert rows[-1]["parse_errors"] == 1
 
 
-def test_verify_parallel_matches_serial(tmp_path, capsys, monkeypatch):
-    lines = [zf.to_graph6(g) for g in (zf.complete(4), zf.cycle(6), zf.g2(),
-                                       zf.complete_bipartite(2, 3))]
-    src = tmp_path / "batch.g6"
-    src.write_text("\n".join(lines) + "\n")
-    code, serial, _ = run(capsys, "verify", str(src))
-    monkeypatch.setenv("ZFORCE_THREADS", "4")
-    code2, parallel, _ = run(capsys, "verify", str(src))
-    assert code == code2 == 0 and serial == parallel
-
-
 def test_file_and_stdin_sources(tmp_path, capsys, monkeypatch):
     src = tmp_path / "g.el"
     src.write_text("3\n0 1\n1 2\n")

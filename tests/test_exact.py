@@ -83,10 +83,34 @@ def test_budget_interval_flagged():
 
 
 def test_lower_bound_seed_counts():
-    # girth 5, min degree 3 seeds the search at 5, so very few nodes
+    # the wavefront settles Petersen after a few hundred closures
     res = zf.zero_forcing_number(zf.generate("petersen"))
     assert res.value == 5
     assert res.nodes_explored < 500
+
+
+def test_every_budget_gives_a_sound_interval(random_corpus):
+    named = [zf.generate("petersen"), zf.path(5), zf.cycle(6), zf.complete(4)]
+    for g in named + random_corpus[:20]:
+        z = zf.brute_force_oracle(g).value
+        full = zf.zero_forcing_number(g).nodes_explored
+        for budget in range(0, full + 1):
+            res = zf.zero_forcing_number(g, budget)
+            assert res.lower <= z <= res.upper, (budget, res)
+            assert res.complete == (res.value is not None) == (budget == full)
+            if res.complete:
+                assert res.value == z and zf.is_zero_forcing_set(g, res.witness)
+            else:
+                assert res.witness is None
+
+
+def test_budget_stop_reports_the_frontier_cost():
+    # K33 has girth 4, so the static bound is 1; a lower end of 4 = Z one
+    # closure short of the end comes from the search frontier
+    g = zf.complete_bipartite(3, 3)
+    full = zf.zero_forcing_number(g).nodes_explored
+    res = zf.zero_forcing_number(g, full - 1)
+    assert not res.complete and res.lower == 4 and res.upper == 5
 
 
 def test_deterministic_witness(random_corpus):
