@@ -40,6 +40,7 @@ from .families import (
     random_gnp,
     random_graph,
     random_regular,
+    subdivided_k33,
 )
 from .forcing import (
     ForcingStep,

@@ -154,10 +154,10 @@ def _has_k33_component(g: Graph) -> bool:
 
 
 def upper_exception_free(g: Graph) -> BoundEntry:
-    """(d-2)n/(d-1), valid exactly when the graph is none of the five
+    """(d-2)n/(d-1), valid exactly when the graph is none of the six
     exceptional graphs."""
     d = g.max_degree()
-    name, kind, source = "exception_free", "upper", "(d-2)n/(d-1) outside five exceptional graphs"
+    name, kind, source = "exception_free", "upper", "(d-2)n/(d-1) outside six exceptional graphs"
     if not is_connected(g) or d < 3:
         return BoundEntry(name, kind, None, False, "needs connected, max degree >= 3", PROVEN, source)
     tag = exceptional_tag(g)

@@ -7,7 +7,7 @@ report the byte offset at which the input went wrong.
 
 from __future__ import annotations
 
-from .graph import Graph
+from .graph import Graph, bits
 
 _HEADER = ">>graph6<<"
 
@@ -55,30 +55,18 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6Error(f"need {need} data bytes, found {len(s) - body}", len(s))
     if len(s) - body > need:
         raise Graph6Error("trailing garbage after graph data", body + need)
+    stream = "".join(format(ord(c) - 63, "06b") for c in s[body:])
+    if "1" in stream[nbits:]:  # padding sits in the last byte only
+        raise Graph6Error("nonzero padding bits", body + need - 1)
     rows = [0] * n
-    pos = 0  # bit index into the upper triangle stream
-    for k in range(need):
-        chunk = ord(s[body + k]) - 63
-        for shift in range(5, -1, -1):
-            if pos >= nbits:
-                if chunk >> shift & 1:
-                    raise Graph6Error("nonzero padding bits", body + k)
-                continue
-            if chunk >> shift & 1:
-                u, v = _triangle_pair(pos)
-                rows[u] |= 1 << v
-                rows[v] |= 1 << u
-            pos += 1
+    pos = 0  # start of column v: bits (0,v), (1,v), ..., (v-1,v)
+    for v in range(1, n):
+        col = int(stream[pos:pos + v][::-1], 2)  # bit u set iff u ~ v
+        pos += v
+        rows[v] |= col
+        for u in bits(col):
+            rows[u] |= 1 << v
     return Graph(n, tuple(rows))
-
-
-def _triangle_pair(pos: int) -> tuple[int, int]:
-    # upper triangle column-major: (0,1), (0,2), (1,2), (0,3), ...
-    v = 1
-    while pos >= v:
-        pos -= v
-        v += 1
-    return pos, v
 
 
 def to_graph6(g: Graph) -> str:

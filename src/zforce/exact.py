@@ -124,8 +124,10 @@ def zero_forcing_number(g: Graph, budget: int | None = None) -> ExactResult:
     lower = 0
     upper = 0
     complete = True
-    for comp in components(g):
-        sub, labels = g.induced(comp)
+    comps = components(g)
+    for comp in comps:
+        # A connected graph is its own component; skip the relabelled copy.
+        sub, labels = (g, range(g.n)) if len(comps) == 1 else g.induced(comp)
         frontier = 0
         if complete:
             try:

@@ -59,9 +59,12 @@ def heawood() -> Graph:
     return g
 
 
-# The two sporadic order-5 and order-7 graphs that, together with the
-# three complete/bipartite families below, are the only connected graphs
-# of maximum degree >= 3 whose zero forcing number exceeds (D-2)n/(D-1).
+# The sporadic graphs of order 5 and 7 that, together with the three
+# complete/bipartite families below, are the only connected graphs of
+# maximum degree >= 3 whose zero forcing number exceeds (D-2)n/(D-1).
+# The abstract lists two sporadic graphs; an exhaustive check of every
+# connected graph with n <= 8 finds a third, K_{3,3} with one edge
+# subdivided (graph6 FsPpo, Z = 4 > 7/2), so it is recognized as well.
 
 _G1_EDGES = [(4, 2), (2, 3), (2, 1), (3, 1), (3, 4), (4, 0), (0, 1)]
 
@@ -83,6 +86,14 @@ def g2() -> Graph:
     return g
 
 
+def subdivided_k33() -> Graph:
+    """Order-7 exception: K_{3,3} with the edge 2-5 subdivided by vertex 6."""
+    edges = [(a, b) for a in range(3) for b in range(3, 6) if (a, b) != (2, 5)]
+    g = Graph.from_edges(7, edges + [(2, 6), (6, 5)])
+    assert sorted(g.degrees) == [2, 3, 3, 3, 3, 3, 3]
+    return g
+
+
 _FAMILIES = {
     "complete": (complete, 1),
     "complete_bipartite": (complete_bipartite, 2),
@@ -92,6 +103,7 @@ _FAMILIES = {
     "heawood": (heawood, 0),
     "g1": (g1, 0),
     "g2": (g2, 0),
+    "subdivided_k33": (subdivided_k33, 0),
 }
 
 
@@ -181,13 +193,18 @@ def random_graph(model: str, *, seed: int, **params) -> Graph:
 
 
 class ExceptionalGraph(Enum):
-    """The five connected graphs with Z(G) > (D-2)n/(D-1), D >= 3."""
+    """The connected graphs with Z(G) > (D-2)n/(D-1), D >= 3.
+
+    The abstract names five; ``SUBDIVIDED_K33`` is a sixth, found by an
+    exhaustive check of all connected graphs with n <= 8.
+    """
 
     COMPLETE = "complete"                      # K_{D+1}
     BALANCED_BIPARTITE = "balanced_bipartite"  # K_{D,D}
     OFFSET_BIPARTITE = "offset_bipartite"      # K_{D-1,D}
     SPORADIC_5 = "g1"
     SPORADIC_7 = "g2"
+    SUBDIVIDED_K33 = "subdivided_k33"
 
 
 def complete_bipartite_parts(g: Graph) -> tuple[int, int] | None:
@@ -221,7 +238,7 @@ def is_isomorphic_small(a: Graph, b: Graph) -> bool:
 
 
 def exceptional_tag(g: Graph) -> ExceptionalGraph | None:
-    """Classify g against the five exceptional graphs (None otherwise).
+    """Classify g against the exceptional graphs (None otherwise).
 
     Only meaningful for connected graphs with maximum degree >= 3.
     """
@@ -239,4 +256,7 @@ def exceptional_tag(g: Graph) -> ExceptionalGraph | None:
         return ExceptionalGraph.SPORADIC_5
     if g.n == 7 and g.is_regular() == 4 and is_isomorphic_small(g, g2()):
         return ExceptionalGraph.SPORADIC_7
+    if (g.n == 7 and sorted(g.degrees) == [2, 3, 3, 3, 3, 3, 3]
+            and is_isomorphic_small(g, subdivided_k33())):
+        return ExceptionalGraph.SUBDIVIDED_K33
     return None

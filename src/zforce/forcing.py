@@ -150,21 +150,24 @@ def permutation_to_set(g: Graph, order: list[int]) -> VertexSet:
 
     A vertex is skipped (left out of the set) iff it is the unique
     not-yet-placed neighbor of some earlier vertex, i.e. iff it is the
-    last-placed neighbor of an earlier vertex.  The result is always a
-    zero forcing set: replaying the order left to right, each skipped
-    vertex is forced by the earlier vertex that vouched for it.
+    last-placed neighbor of an earlier vertex; one pass over the order
+    with a mask of the unplaced vertices decides this.  The result is
+    always a zero forcing set: replaying the order left to right, each
+    skipped vertex is forced by the earlier vertex that vouched for it.
     """
     n = g.n
     if sorted(order) != list(range(n)):
         raise ValueError("order is not a permutation of the vertex set")
-    pos = [0] * n
-    for i, v in enumerate(order):
-        pos[v] = i
+    adj = g.adj
+    unplaced = g.full_mask
     skipped = 0
-    for v in range(n):
-        if not g.adj[v]:
-            continue
-        last = max(pos[u] for u in bits(g.adj[v]))
-        if pos[v] < last:
-            skipped |= 1 << order[last]
+    for w in order:
+        unplaced ^= 1 << w
+        earlier = adj[w] & ~unplaced
+        while earlier:  # w was the last neighbor placed of some earlier one?
+            low = earlier & -earlier
+            if not adj[low.bit_length() - 1] & unplaced:
+                skipped |= 1 << w
+                break
+            earlier ^= low
     return g.full_mask ^ skipped

@@ -10,6 +10,7 @@ on heavily.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Iterator
 
 VertexSet = int  # bitmask alias used in signatures for readability
@@ -42,7 +43,9 @@ class Graph:
 
     ``adj[v]`` is the open neighborhood of v as a bitmask.  Instances are
     immutable value types: hashable, safe to share between workers, and
-    every derived quantity is a pure function of the fields.
+    every derived quantity is a pure function of the fields.  Costly
+    invariants are cached in the instance ``__dict__`` on first use; the
+    cache takes no part in equality or hashing.
     """
 
     n: int
@@ -135,16 +138,56 @@ class Graph:
         rows = [mask_of(index[u] for u in bits(self.adj[v] & mask)) for v in keep]
         return Graph(len(keep), tuple(rows)), keep
 
+    # -- cached invariants ---------------------------------------------
 
-def reachable(g: Graph, start: int) -> VertexSet:
-    """Vertices reachable from ``start`` (bitmask), by fixpoint expansion."""
+    @cached_property
+    def girth(self) -> int | None:
+        """Length of a shortest cycle, or None for forests (cached).
+
+        Runs a BFS from every vertex; any non-tree edge between explored
+        vertices closes a walk of length dist[u] + dist[w] + 1 through the
+        root, which always contains a cycle at most that long.  Rooting at a
+        vertex of a shortest cycle makes the estimate exact, so the minimum
+        over all roots is the girth.
+        """
+        best: int | None = None
+        for root in range(self.n):
+            dist = [-1] * self.n
+            parent = [-1] * self.n
+            dist[root] = 0
+            queue = [root]
+            while queue:
+                nxt = []
+                for v in queue:
+                    if best is not None and 2 * dist[v] >= best:
+                        continue
+                    for u in bits(self.adj[v]):
+                        if dist[u] == -1:
+                            dist[u] = dist[v] + 1
+                            parent[u] = v
+                            nxt.append(u)
+                        elif parent[v] != u and parent[u] != v:
+                            cand = dist[v] + dist[u] + 1
+                            if best is None or cand < best:
+                                best = cand
+                queue = nxt
+        return best
+
+
+def reachable(g: Graph, start: int, within: VertexSet | None = None) -> VertexSet:
+    """Vertices reachable from ``start`` (bitmask), by fixpoint expansion.
+
+    With ``within``, walks only inside that vertex set, as in the induced
+    subgraph on it, without building that subgraph.
+    """
+    allowed = g.full_mask if within is None else within
     seen = 1 << start
     frontier = seen
     while frontier:
         grow = 0
         for v in bits(frontier):
             grow |= g.adj[v]
-        frontier = grow & ~seen
+        frontier = grow & allowed & ~seen
         seen |= frontier
     return seen
 
@@ -168,34 +211,10 @@ def components(g: Graph) -> list[VertexSet]:
 def girth(g: Graph) -> int | None:
     """Length of a shortest cycle, or None for forests.
 
-    Runs a BFS from every vertex; any non-tree edge between explored
-    vertices closes a walk of length dist[u] + dist[w] + 1 through the
-    root, which always contains a cycle at most that long.  Rooting at a
-    vertex of a shortest cycle makes the estimate exact, so the minimum
-    over all roots is the girth.
+    Computed once per graph and cached on it, so repeated calls on the
+    same instance cost nothing.
     """
-    best: int | None = None
-    for root in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
-        dist[root] = 0
-        queue = [root]
-        while queue:
-            nxt = []
-            for v in queue:
-                if best is not None and 2 * dist[v] >= best:
-                    continue
-                for u in bits(g.adj[v]):
-                    if dist[u] == -1:
-                        dist[u] = dist[v] + 1
-                        parent[u] = v
-                        nxt.append(u)
-                    elif parent[v] != u and parent[u] != v:
-                        cand = dist[v] + dist[u] + 1
-                        if best is None or cand < best:
-                            best = cand
-            queue = nxt
-    return best
+    return g.girth
 
 
 def shortest_cycle(g: Graph) -> list[int] | None:

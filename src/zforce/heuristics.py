@@ -6,7 +6,7 @@ guarantee:
 * ``greedy_extend`` grows a certified seed into a full set of size at
   most (D-2)n/(D-1), never breaking the seed ratio along the way.
 * ``find_seed`` produces such a seed for every connected graph of
-  maximum degree D >= 3 apart from five exceptional graphs, which it
+  maximum degree D >= 3 apart from six exceptional graphs, which it
   recognizes and reports instead.
 * ``random_zfs`` draws sets from random vertex orders; ``expected_size``
   evaluates the exact expected set size by inclusion-exclusion, which is
@@ -314,13 +314,13 @@ def _exceptional_witness(g: Graph, tag: ExceptionalGraph) -> VertexSet:
         side_a = mask_of(v for v in range(g.n) if g.adj[v] == g.adj[0])
         side_b = g.full_mask ^ side_a
         return g.full_mask ^ (side_a & -side_a) ^ (side_b & -side_b)
-    return zero_forcing_number(g).witness  # the two sporadic graphs are tiny
+    return zero_forcing_number(g).witness  # the sporadic graphs are tiny
 
 
 def greedy_ratio_zfs(g: Graph) -> HeuristicResult:
     """Seed search plus greedy extension; the (D-2)n/(D-1) bound.
 
-    On one of the five exceptional graphs the bound is unattainable, so
+    On one of the six exceptional graphs the bound is unattainable, so
     the known minimum witness for that family is returned instead, with
     the tag recorded on the result.
     """
@@ -453,7 +453,11 @@ class ExtensionSubgraph:
 def _pattern_candidates(g: Graph, f: VertexSet, cap_order: int):
     """Yield (order, r_count, kind, path, cycle) for every extension
     subgraph of order <= cap_order, by DFS over simple paths leaving each
-    boundary vertex of the filled set."""
+    boundary vertex of the filled set.
+
+    The candidates of order k are the same for every cap_order >= k, so a
+    caller can search by increasing order, raising the cap one at a time.
+    """
     adj = g.adj
     boundary = [v for v in bits(f) if adj[v] & ~f]
 
@@ -496,13 +500,24 @@ def _pattern_candidates(g: Graph, f: VertexSet, cap_order: int):
         yield from walk()
 
 
+def _order_cap(n: int) -> int:
+    """The largest order an extension subgraph may have: 2*log2(n) + 1."""
+    cap = 1
+    while 1 << cap <= n * n:
+        cap += 1
+    return cap
+
+
 def find_extension_subgraph(g: Graph, f: VertexSet) -> ExtensionSubgraph:
     """Minimum-order extension subgraph for the filled set f.
 
     Ties are broken by fewest unfilled vertices, then lexicographically,
-    so the result is deterministic.  Requires a connected subcubic graph
-    of girth at least 5, f a closure inducing a connected subgraph of
-    order at least 3, and an unfilled vertex of degree at least 2.
+    so the result is deterministic.  The search runs by increasing order:
+    caps 1, 2, ... up to 2*log2(n) + 1, stopping at the first cap with a
+    candidate, whose least candidate is then the least overall.  Requires
+    a connected subcubic graph of girth at least 5, f a closure inducing
+    a connected subgraph of order at least 3, and an unfilled vertex of
+    degree at least 2.
     Minimality makes the private neighbors exist wherever the
     augmentation rules reference them.
     """
@@ -515,17 +530,17 @@ def find_extension_subgraph(g: Graph, f: VertexSet) -> ExtensionSubgraph:
         raise ValueError("extension subgraphs need a connected graph")
     if closure_mask(g, f) != f:
         raise ValueError("f must be closed under forcing")
-    if f.bit_count() < 3 or reachable(g.induced(f)[0], 0) != (1 << f.bit_count()) - 1:
+    if f.bit_count() < 3 or reachable(g, (f & -f).bit_length() - 1, f) != f:
         raise ValueError("f must induce a connected subgraph of order >= 3")
     r = g.full_mask ^ f
     if not any(g.degree(v) >= 2 for v in bits(r)):
         raise ValueError("the unfilled region has no vertex of degree >= 2")
 
-    cap_order = 1
-    while 1 << cap_order <= n * n:  # order <= 2*log2(n) + 1, exactly
-        cap_order += 1
-    best = min(_pattern_candidates(g, f, cap_order), default=None)
-    if best is None:
+    for cap in range(1, _order_cap(n) + 1):
+        best = min(_pattern_candidates(g, f, cap), default=None)
+        if best is not None:
+            break
+    else:
         raise AssertionError("no extension subgraph within the order cap")
     _, _, kind, path, cyc = best
     return ExtensionSubgraph(kind, path, cyc,
@@ -632,8 +647,7 @@ def subcubic_girth5_zfs(g: Graph) -> HeuristicResult:
             raise AssertionError(f"augmentation cost {cost} above 2*log2({n})")
         if gain < 2 * cost + 1:
             raise AssertionError(f"augmentation gained {gain} < {2 * cost + 1}")
-        sub, _ = g.induced(new_filled)
-        if reachable(sub, 0) != sub.full_mask:
+        if reachable(g, (new_filled & -new_filled).bit_length() - 1, new_filled) != new_filled:
             raise AssertionError("augmentation disconnected the closure")
         z |= add
         filled = new_filled

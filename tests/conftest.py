@@ -78,6 +78,7 @@ def named_graph_map() -> dict[str, zf.Graph]:
         "heawood": zf.heawood(),
         "g1": zf.g1(),
         "g2": zf.g2(),
+        "subdivided_k33": zf.subdivided_k33(),
     }
     for n in range(3, 9):
         out[f"C{n}"] = zf.cycle(n)

@@ -64,11 +64,11 @@ def test_criterion_02_ratio_bound_iff(random_corpus, named_graphs, exact_z):
         checked += 1
     assert checked >= 500
     for g in (zf.complete(4), zf.complete_bipartite(3, 3),
-              zf.complete_bipartite(2, 3), zf.g1(), zf.g2()):
+              zf.complete_bipartite(2, 3), zf.g1(), zf.g2(), zf.subdivided_k33()):
         d, n = g.max_degree(), g.n
         assert Fraction(exact_z(g)) > Fraction((d - 2) * n, d - 1)
     _report(2, f"ratio bound holds with witnesses on {checked} graphs; "
-               "all five exceptions violate it")
+               "all six exceptions violate it")
 
 
 def _subdivide(g):

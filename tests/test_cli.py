@@ -107,6 +107,14 @@ def test_verify_stream(tmp_path, capsys):
     assert rows[0]["z"] == 3
 
 
+def test_verify_fsppo_reports_no_violation(capsys):
+    code, out, _ = run(capsys, "verify", "--g6", "FsPpo")
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert code == 0
+    assert rows[0]["violations"] == [] and rows[0]["z"] == 4
+    assert rows[-1]["violations"] == 0
+
+
 def test_verify_honors_exact_limit(capsys):
     pet = zf.to_graph6(zf.generate("petersen"))
     code, out, _ = run(capsys, "verify", "--g6", pet, "--exact-limit", "5")

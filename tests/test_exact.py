@@ -62,6 +62,23 @@ def test_disconnected_graphs_decompose():
     assert res.value == zf.brute_force_oracle(g).value
 
 
+def test_connected_graph_is_solved_without_relabelling(random_corpus, monkeypatch):
+    # A connected graph is solved in place; with an isolated vertex added
+    # it goes through the relabelled copy, and the witness must agree.
+    plain = [(g, zf.zero_forcing_number(g).witness) for g in random_corpus[:40]]
+
+    def no_copy(self, mask):
+        raise AssertionError("induced copy of a connected graph")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(zf.Graph, "induced", no_copy)
+        for g, witness in plain:
+            assert zf.zero_forcing_number(g).witness == witness
+    for g, witness in plain:
+        padded = zf.Graph(g.n + 1, g.adj + (0,))
+        assert zf.zero_forcing_number(padded).witness == witness | 1 << g.n
+
+
 def test_edgeless_needs_everything():
     g = zf.Graph(4, (0, 0, 0, 0))
     assert zf.zero_forcing_number(g).value == 4

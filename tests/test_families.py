@@ -52,6 +52,14 @@ def test_g2_shape_and_complement_structure():
         assert zf.girth(sub) == sub.n
 
 
+def test_subdivided_k33_shape_and_value():
+    g = zf.generate("subdivided_k33")
+    assert g.n == 7 and g.edge_count() == 10 and g.max_degree() == 3
+    assert is_isomorphic_small(g, zf.parse_graph6("FsPpo"))
+    # Z = 4 exceeds (D-2)n/(D-1) = 7/2, so the graph is exceptional
+    assert zf.brute_force_oracle(g).value == 4
+
+
 def test_random_gnp_deterministic_and_seed_sensitive():
     a = zf.random_gnp(10, 0.4, seed=5)
     b = zf.random_gnp(10, 0.4, seed=5)
@@ -110,6 +118,8 @@ def test_exceptional_tags():
     assert zf.exceptional_tag(zf.complete_bipartite(2, 3)) is ExceptionalGraph.OFFSET_BIPARTITE
     assert zf.exceptional_tag(zf.g1()) is ExceptionalGraph.SPORADIC_5
     assert zf.exceptional_tag(zf.g2()) is ExceptionalGraph.SPORADIC_7
+    assert zf.exceptional_tag(zf.subdivided_k33()) is ExceptionalGraph.SUBDIVIDED_K33
+    assert zf.exceptional_tag(zf.parse_graph6("FsPpo")) is ExceptionalGraph.SUBDIVIDED_K33
     assert zf.exceptional_tag(zf.generate("petersen")) is None
     assert zf.exceptional_tag(zf.complete_bipartite(2, 4)) is None
     assert zf.exceptional_tag(zf.cycle(6)) is None  # max degree below 3

@@ -3,7 +3,7 @@
 import pytest
 
 import zforce as zf
-from zforce.graph import Graph, bit_list, bits, mask_of
+from zforce.graph import Graph, bit_list, bits, mask_of, reachable
 
 
 def test_mask_helpers_roundtrip():
@@ -53,6 +53,15 @@ def test_complement_involution():
     assert g.complement().complement() == g
 
 
+def test_reachable_within_a_mask_matches_the_induced_subgraph(random_corpus):
+    for i, g in enumerate(random_corpus[:100]):
+        mask = g.full_mask & ~(1 << (i % g.n)) & ~(1 << (3 * i % g.n))
+        start = (mask & -mask).bit_length() - 1
+        sub, labels = g.induced(mask)
+        want = mask_of(labels[v] for v in bits(reachable(sub, 0)))
+        assert reachable(g, start, mask) == want
+
+
 def test_induced_relabels():
     g = zf.cycle(5)
     sub, labels = g.induced(mask_of([1, 2, 3]))
@@ -98,6 +107,21 @@ def test_girth_petersen_is_five():
 def test_girth_matches_oracle_on_corpus(random_corpus):
     for g in random_corpus[:150]:
         assert zf.girth(g) == girth_oracle(g)
+
+
+def test_cached_girth_matches_a_fresh_bfs(random_corpus, cubic_g5_corpus):
+    for g in random_corpus[:100] + cubic_g5_corpus[:10]:
+        first = zf.girth(g)
+        assert zf.girth(g) == first == girth_oracle(g)
+
+
+def test_girth_cache_leaves_equality_and_hash_alone():
+    g = zf.generate("petersen")
+    twin = Graph(g.n, g.adj)
+    assert zf.girth(g) == 5
+    assert "girth" in vars(g) and "girth" not in vars(twin)
+    assert g == twin and hash(g) == hash(twin)
+    assert len({g, twin}) == 1
 
 
 def test_forest_iff_girth_infinite(random_corpus):

@@ -8,9 +8,12 @@ import pytest
 
 import zforce as zf
 from zforce.families import ExceptionalGraph
-from zforce.graph import bit_list, mask_of
+from zforce.graph import bit_list, bits, mask_of
 from zforce.heuristics import (
     SeedCertificate,
+    _augmentation,
+    _order_cap,
+    _pattern_candidates,
     find_extension_subgraph,
     find_seed,
     greedy_extend,
@@ -57,6 +60,7 @@ def test_find_seed_tags_exceptions():
     assert find_seed(zf.complete_bipartite(2, 3)) is ExceptionalGraph.OFFSET_BIPARTITE
     assert find_seed(zf.g1()) is ExceptionalGraph.SPORADIC_5
     assert find_seed(zf.g2()) is ExceptionalGraph.SPORADIC_7
+    assert find_seed(zf.subdivided_k33()) is ExceptionalGraph.SUBDIVIDED_K33
 
 
 def test_find_seed_rejects_low_degree_or_disconnected():
@@ -109,10 +113,11 @@ def test_greedy_meets_ratio_bound_on_corpus(random_corpus, exact_z):
 
 
 def test_greedy_ratio_zfs_on_exceptions_returns_minimum(named_graphs):
-    for name, want in [("K4", 3), ("K33", 4), ("K23", 3), ("g1", 3), ("g2", 5), ("K5", 4), ("K44", 6), ("K34", 5)]:
+    for name, want in [("K4", 3), ("K33", 4), ("K23", 3), ("g1", 3), ("g2", 5),
+                       ("subdivided_k33", 4), ("K5", 4), ("K44", 6), ("K34", 5)]:
         g = named_graphs[name]
         res = greedy_ratio_zfs(g)
-        assert res.exceptional is not None
+        assert res.method == "exceptional" and res.exceptional is not None
         assert res.size == want, name
         assert zf.is_zero_forcing_set(g, res.zfs)
 
@@ -268,6 +273,27 @@ def test_extension_subgraph_remote_cycle_type_e():
     assert h.kind == "e"
     assert h.path[-1] == h.cycle[0]
     assert len(h.cycle) == 5
+
+
+def test_search_by_increasing_order_matches_the_full_cap(cubic_g5_corpus):
+    # every closed set the subcubic construction visits, compared with the
+    # minimum over all candidates up to the order cap
+    calls = 0
+    for g in cubic_g5_corpus:
+        filled = _start_state(g)
+        while any(g.degree(w) >= 2 for w in bits(g.full_mask ^ filled)):
+            h = find_extension_subgraph(g, filled)
+            _, _, kind, path, cyc = min(_pattern_candidates(g, filled, _order_cap(g.n)))
+            assert (h.kind, h.path, h.cycle) == (kind, path, cyc)
+            filled = zf.closure_mask(g, filled | _augmentation(g, filled, h))
+            calls += 1
+    assert calls >= len(cubic_g5_corpus)
+
+
+def test_order_cap_is_two_log2_n_plus_one():
+    for n in range(1, 300):
+        cap = _order_cap(n)
+        assert 2 ** (cap - 1) <= n * n < 2 ** cap
 
 
 def test_extension_subgraph_preconditions():
