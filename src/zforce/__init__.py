@@ -38,7 +38,6 @@ from .families import (
     path,
     petersen,
     random_gnp,
-    random_graph,
     random_regular,
     subdivided_k33,
 )

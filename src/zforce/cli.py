@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -98,7 +99,10 @@ def _cmd_closure(args, parser) -> int:
 
 def _cmd_exact(args, parser) -> int:
     g = _load_graph(args, parser)
-    res = zero_forcing_number(g, args.budget)
+    try:
+        res = zero_forcing_number(g, args.budget)
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.quiet:
         print(res.value if res.complete else f"{res.lower}:{res.upper}")
     else:
@@ -135,7 +139,10 @@ def _cmd_heuristic(args, parser) -> int:
 
 def _cmd_bounds(args, parser) -> int:
     g = _load_graph(args, parser)
-    report = bounds_report(g, with_exact=args.exact, budget=args.budget)
+    try:
+        report = bounds_report(g, with_exact=args.exact, budget=args.budget)
+    except ValueError as exc:
+        parser.error(str(exc))
     if args.quiet:
         print(len(report.violations))
     else:
@@ -288,7 +295,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args, parser)
+    try:
+        code = args.func(args, parser)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed the pipe (`zforce ... | head`): stop quietly.
+        # Point stdout at devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -51,14 +51,18 @@ class _BudgetExhausted(Exception):
 
 
 class _Budget:
+    """Counts the closures that ran; refuses the one past the limit."""
+
     def __init__(self, limit: int | None):
+        if limit is not None and limit < 0:
+            raise ValueError(f"budget must be >= 0, got {limit}")
         self.limit = limit
         self.used = 0
 
     def spend(self) -> None:
-        self.used += 1
-        if self.limit is not None and self.used > self.limit:
+        if self.limit is not None and self.used >= self.limit:
             raise _BudgetExhausted
+        self.used += 1
 
 
 def _component_lower_bound(g: Graph) -> int:
@@ -115,8 +119,10 @@ def zero_forcing_number(g: Graph, budget: int | None = None) -> ExactResult:
 
     Disconnected graphs decompose: forcing never crosses components, so
     the number is the sum over components and the witness the union.
-    ``budget`` caps the number of closure invocations; when it runs out
-    the result carries the interval proven so far instead of a value.
+    ``budget`` caps the number of closure invocations and must be at
+    least 0; when it runs out the result carries the interval proven so
+    far instead of a value, and ``nodes_explored`` counts the closures
+    that ran.
     """
     state = _Budget(budget)
     total = 0

@@ -180,15 +180,6 @@ def random_regular(n: int, r: int, seed: int, *, min_girth: int | None = None,
     raise ValueError(f"no simple {r}-regular sample for n={n} within {max_tries} tries")
 
 
-def random_graph(model: str, *, seed: int, **params) -> Graph:
-    """Dispatch on model name: "gnp" or "regular_pairing"."""
-    if model == "gnp":
-        return random_gnp(seed=seed, **params)
-    if model == "regular_pairing":
-        return random_regular(seed=seed, **params)
-    raise ValueError(f"unknown random model {model!r}")
-
-
 # -- recognizers ----------------------------------------------------------
 
 

@@ -56,12 +56,14 @@ def closure_core(adj: tuple[int, ...], filled: int, pending: int) -> tuple[int, 
     while True:
         progress = 0
         stalled = 0
-        for v in bits(pending):
-            un = adj[v] & ~filled
+        while pending:  # the loop of bits(), inlined: this is the solver's hot path
+            low = pending & -pending
+            pending ^= low
+            un = adj[low.bit_length() - 1] & ~filled
             if not un:
                 continue
             if un & (un - 1):
-                stalled |= 1 << v
+                stalled |= low
             else:
                 progress |= un
         if not progress:
@@ -84,6 +86,7 @@ def closure(g: Graph, z: VertexSet) -> ForcingTrace:
     """
     _check_subset(g, z)
     adj = g.adj
+    neighbors = g.neighbors
     filled = z
     counts = [ (adj[v] & ~filled).bit_count() for v in range(g.n) ]
     heap: list[tuple[int, int]] = []
@@ -97,7 +100,7 @@ def closure(g: Graph, z: VertexSet) -> ForcingTrace:
             continue  # stale entry; u was forced by someone smaller
         steps.append(ForcingStep(v, u))
         filled |= 1 << u
-        for w in bits(adj[u]):
+        for w in neighbors[u]:
             counts[w] -= 1
             if counts[w] == 1 and filled >> w & 1:
                 heapq.heappush(heap, (w, (adj[w] & ~filled).bit_length() - 1))

@@ -22,6 +22,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from random import Random
 
@@ -189,6 +190,21 @@ def _ball_candidates(g: Graph, cyc: list[int]):
             yield mask_of(sub)
 
 
+def _futile_seeds(g: Graph, d: int, v: int) -> bool:
+    """True when every seed N[v] - u provably fails the ratio test.
+
+    v forces u at once.  Without triangles no neighbor of v is adjacent
+    to another, so a neighbor of degree >= 3 keeps two unfilled
+    neighbors and the closure stalls at N[v].  Then |closure| * (D-2) =
+    (deg v + 1)(D-2) < deg(v)(D-1) = |seed| * (D-1) whenever
+    deg v >= D-1.
+    """
+    degrees = g.degrees
+    return (degrees[v] >= d - 1
+            and all(degrees[w] >= 3 for w in g.neighbors[v])
+            and (g.girth or 4) >= 4)
+
+
 def find_seed(g: Graph, candidate_budget: int = 300_000) -> SeedCertificate | ExceptionalGraph:
     """A valid seed certificate, or the exceptional-graph tag.
 
@@ -211,20 +227,28 @@ def find_seed(g: Graph, candidate_budget: int = 300_000) -> SeedCertificate | Ex
     seen: set[int] = set()
     tried = 0
 
-    def test(z0: VertexSet) -> SeedCertificate | None:
+    def test(z0: VertexSet, futile: bool = False) -> SeedCertificate | None:
         nonlocal tried
         if z0 in seen:
             return None
         seen.add(z0)
         tried += 1
+        if futile:
+            return None
         cert = seed_certificate(g, z0)
         return cert if cert.valid else None
 
     # Single-vertex seeds, lowest degree first: guaranteed to satisfy the
-    # ratio whenever some vertex has degree at most D-2.
-    for v in sorted(range(g.n), key=lambda v: (g.degree(v), v)):
-        for u in bits(g.adj[v]):
-            cert = test(g.closed_neighborhood(v) & ~(1 << u))
+    # ratio whenever some vertex has degree at most D-2.  Futile seeds skip
+    # the closure but still count as tried, so the budgets below see the
+    # same counts.
+    d = g.max_degree()
+    degrees, neighbors = g.degrees, g.neighbors
+    for v in sorted(range(g.n), key=lambda v: (degrees[v], v)):
+        closed = g.closed_neighborhood(v)
+        futile = _futile_seeds(g, d, v)
+        for u in neighbors[v]:
+            cert = test(closed & ~(1 << u), futile)
             if cert:
                 return cert
 
@@ -368,8 +392,11 @@ def random_zfs(g: Graph, trials: int, seed: int = 0) -> HeuristicResult:
         order = base[:]
         _trial_rng(seed, t).shuffle(order)
         z = permutation_to_set(g, order)
-        total += z.bit_count()
-        key = (z.bit_count(), bit_list(z))
+        size = z.bit_count()
+        total += size
+        if best_key is not None and size > best_key[0]:
+            continue  # cannot win; skip building its key
+        key = (size, bit_list(z))
         if best_key is None or key < best_key:
             best, best_key = z, key
     assert best is not None
@@ -391,21 +418,46 @@ def vertex_probability(g: Graph, u: int) -> Fraction:
 
     Sums (-1)^|I| / |{u} + union of closed neighborhoods over I| over all
     subsets I of u's neighborhood; exact rational arithmetic throughout.
+    The sum depends only on how many subsets of each parity give each
+    union size, so its value is memoised on that signature.  Without
+    triangles and 4-cycles the closed neighborhoods of u's neighbors meet
+    only in u, the size for I is 1 + the sum of their degrees, and the
+    value is memoised on the sorted neighbor degrees alone.
     """
-    nbrs = bit_list(g.adj[u])
+    nbrs = g.neighbors[u]
     d = len(nbrs)
     if d > 20:
         raise ValueError("inclusion-exclusion limited to degree <= 20")
+    if (g.girth or 5) >= 5:
+        return _probability_from_degrees(tuple(sorted(g.degrees[v] for v in nbrs)))
     closed = [g.closed_neighborhood(v) for v in nbrs]
     unions = [0] * (1 << d)
+    for s in range(1, 1 << d):
+        low = s & -s
+        unions[s] = unions[s ^ low] | closed[low.bit_length() - 1]
+    return _probability_from_signature(_signature([(m | 1 << u).bit_count() for m in unions]))
+
+
+def _signature(sizes: list[int]) -> tuple[tuple[int, int], ...]:
+    """Sorted (size, signed count) pairs, for sizes indexed by subset."""
     coeff: dict[int, int] = {}
-    for s in range(1 << d):
-        if s:
-            low = s & -s
-            unions[s] = unions[s ^ low] | closed[low.bit_length() - 1]
-        size = (unions[s] | 1 << u).bit_count()
+    for s, size in enumerate(sizes):
         coeff[size] = coeff.get(size, 0) + (-1 if s.bit_count() & 1 else 1)
-    return sum((Fraction(c, size) for size, c in coeff.items()), Fraction(0))
+    return tuple(sorted(coeff.items()))
+
+
+@lru_cache(maxsize=4096)
+def _probability_from_signature(signature: tuple[tuple[int, int], ...]) -> Fraction:
+    return sum((Fraction(c, size) for size, c in signature), Fraction(0))
+
+
+@lru_cache(maxsize=4096)
+def _probability_from_degrees(degrees: tuple[int, ...]) -> Fraction:
+    sizes = [1] * (1 << len(degrees))
+    for s in range(1, len(sizes)):
+        low = s & -s
+        sizes[s] = sizes[s ^ low] + degrees[low.bit_length() - 1]
+    return _probability_from_signature(_signature(sizes))
 
 
 def expected_size(g: Graph) -> Fraction:
@@ -458,7 +510,7 @@ def _pattern_candidates(g: Graph, f: VertexSet, cap_order: int):
     The candidates of order k are the same for every cap_order >= k, so a
     caller can search by increasing order, raising the cap one at a time.
     """
-    adj = g.adj
+    adj, degrees, neighbors = g.adj, g.degrees, g.neighbors
     boundary = [v for v in bits(f) if adj[v] & ~f]
 
     for f0 in boundary:
@@ -469,7 +521,7 @@ def _pattern_candidates(g: Graph, f: VertexSet, cap_order: int):
             nonlocal on_path
             x = path[-1]
             prev = path[-2] if len(path) > 1 else -1
-            for y in bits(adj[x]):
+            for y in neighbors[x]:
                 if y == prev:
                     continue
                 if f >> y & 1:
@@ -487,7 +539,7 @@ def _pattern_candidates(g: Graph, f: VertexSet, cap_order: int):
                     continue
                 path.append(y)
                 on_path |= 1 << y
-                deg = g.degree(y)
+                deg = degrees[y]
                 if deg == 2 and len(path) <= cap_order:
                     yield (len(path), len(path) - 1, "a", tuple(path), ())
                 if deg == 1 and len(path) >= 3 and len(path) <= cap_order:

@@ -1,6 +1,10 @@
 """Command line interface: formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -56,6 +60,37 @@ def test_exact_budget_exit(capsys):
                        "--budget", "2")
     payload = json.loads(out)
     assert code == 4 and not payload["complete"] and payload["value"] is None
+
+
+def test_exact_budget_zero_runs_no_closure(capsys):
+    code, out, _ = run(capsys, "exact", "--g6", "Bg", "--budget", "0")
+    payload = json.loads(out)
+    assert code == 4 and payload["nodes_explored"] == 0
+
+
+def test_negative_budget_is_usage_error(capsys):
+    for argv in (["exact", "--g6", "Bg", "--budget", "-1"],
+                 ["bounds", "--g6", "Bg", "--exact", "--budget", "-1"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "budget must be >= 0" in capsys.readouterr().err
+
+
+def test_closed_output_pipe_exits_quietly():
+    # `zforce bounds ... | head -5` where head has already gone away
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(zf.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "zforce.cli", "bounds", "--g6", "Bg", "--exact"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.stderr == b"" and proc.returncode == 0
 
 
 def test_heuristic_methods(capsys):

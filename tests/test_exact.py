@@ -113,12 +113,18 @@ def test_every_budget_gives_a_sound_interval(random_corpus):
         full = zf.zero_forcing_number(g).nodes_explored
         for budget in range(0, full + 1):
             res = zf.zero_forcing_number(g, budget)
+            assert res.nodes_explored == budget  # only the closures that ran
             assert res.lower <= z <= res.upper, (budget, res)
             assert res.complete == (res.value is not None) == (budget == full)
             if res.complete:
                 assert res.value == z and zf.is_zero_forcing_set(g, res.witness)
             else:
                 assert res.witness is None
+
+
+def test_negative_budget_rejected():
+    with pytest.raises(ValueError, match="budget"):
+        zf.zero_forcing_number(zf.path(3), budget=-1)
 
 
 def test_budget_stop_reports_the_frontier_cost():

@@ -88,15 +88,6 @@ def test_random_regular_rejects_bad_params():
         zf.random_regular(8, 3, seed=0, min_girth=7, max_tries=3)
 
 
-def test_random_graph_dispatch():
-    g = zf.random_graph("gnp", seed=0, n=8, p=0.3)
-    assert g.n == 8
-    g = zf.random_graph("regular_pairing", seed=0, n=8, r=3)
-    assert g.is_regular() == 3
-    with pytest.raises(ValueError):
-        zf.random_graph("small_world", seed=0, n=8)
-
-
 def test_complete_bipartite_recognizer():
     assert complete_bipartite_parts(zf.complete_bipartite(2, 3)) == (2, 3)
     assert complete_bipartite_parts(zf.complete_bipartite(4, 4)) == (4, 4)

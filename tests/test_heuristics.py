@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import zforce as zf
+from zforce import heuristics
 from zforce.families import ExceptionalGraph
 from zforce.graph import bit_list, bits, mask_of
 from zforce.heuristics import (
@@ -52,6 +53,19 @@ def test_find_seed_petersen_uses_cycle_construction():
     # single closed neighborhoods can never satisfy the ratio on a cubic
     # girth-5 graph, so the seed must span a shortest cycle
     assert cert.z0.bit_count() > 3
+
+
+def test_skipping_futile_seeds_changes_no_seed(random_corpus, cubic_tf_corpus, cubic_g5_corpus):
+    # Every single-vertex seed of a cubic girth-5 graph is futile ...
+    for g in cubic_g5_corpus:
+        assert all(heuristics._futile_seeds(g, 3, v) for v in range(g.n))
+    # ... and skipping such seeds leaves every search result as it was.
+    graphs = [g for g in random_corpus[:200] + cubic_tf_corpus + cubic_g5_corpus
+              if zf.exceptional_tag(g) is None]
+    found = [find_seed(g) for g in graphs]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(heuristics, "_futile_seeds", lambda g, d, v: False)
+        assert [find_seed(g) for g in graphs] == found
 
 
 def test_find_seed_tags_exceptions():
@@ -167,6 +181,19 @@ def test_random_zfs_deterministic():
     assert a.zfs == b.zfs and a.sample_mean == b.sample_mean
     c = zf.random_zfs(g, trials=50, seed=10)
     assert (a.zfs, a.sample_mean) != (c.zfs, c.sample_mean)
+
+
+def test_random_zfs_keeps_the_least_size_then_vertex_list(random_corpus, cubic_g5_corpus):
+    for g in random_corpus[:40] + cubic_g5_corpus[:5]:
+        sets = []
+        for t in range(32):
+            order = list(range(g.n))
+            heuristics._trial_rng(3, t).shuffle(order)
+            sets.append(zf.permutation_to_set(g, order))
+        best = min(sets, key=lambda z: (z.bit_count(), bit_list(z)))
+        res = zf.random_zfs(g, trials=32, seed=3)
+        assert res.zfs == best
+        assert res.sample_mean == Fraction(sum(z.bit_count() for z in sets), 32)
 
 
 def test_random_zfs_requires_trials():

@@ -1,5 +1,10 @@
 """Property tests: the exact solver against the brute force oracle, the
-random-order set against its definition, and the graph6 round trip."""
+random-order set against its definition, the graph6 round trip, the
+closure laws, and the shortcuts of the construct path against the direct
+computations they skip."""
+
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -7,6 +12,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 import zforce as zf  # noqa: E402
+from zforce.heuristics import _futile_seeds  # noqa: E402
 
 
 @st.composite
@@ -66,3 +72,119 @@ def test_permutation_to_set_is_the_last_placed_neighbor_rule_and_forces(case):
 @given(sparse_graphs())
 def test_graph6_round_trip(g):
     assert zf.parse_graph6(zf.to_graph6(g)) == g
+
+
+@st.composite
+def graphs_with_subsets(draw) -> tuple[zf.Graph, int, int]:
+    g = draw(small_graphs(max_n=10))
+    sub = st.integers(min_value=0, max_value=g.full_mask)
+    small, extra = draw(sub), draw(sub)
+    return g, small, small | extra
+
+
+@settings(max_examples=300, deadline=None)
+@given(graphs_with_subsets())
+def test_closure_is_monotone_idempotent_and_traced(case):
+    g, small, large = case
+    closed = zf.closure_mask(g, small)
+    assert small & ~closed == 0
+    assert zf.closure_mask(g, closed) == closed
+    assert closed & ~zf.closure_mask(g, large) == 0
+    trace = zf.closure(g, small)
+    assert trace.closure == closed
+    assert zf.verify_trace(g, trace)
+
+
+@st.composite
+def graphs_with_a_triangle(draw) -> zf.Graph:
+    g = draw(small_graphs(max_n=10).filter(lambda g: g.n >= 3))
+    return zf.Graph.from_edges(g.n, g.edges() + [(0, 1), (1, 2), (0, 2)])
+
+
+@st.composite
+def graphs_with_a_four_cycle(draw) -> zf.Graph:
+    """Bipartite (even against odd labels) with the 4-cycle 0-1-2-3 planted."""
+    n = draw(st.integers(min_value=4, max_value=10))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n) if (u + v) % 2]
+    present = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    edges = [e for e, keep in zip(pairs, present) if keep]
+    return zf.Graph.from_edges(n, edges + [(0, 1), (1, 2), (2, 3), (0, 3)])
+
+
+def _far_apart(adj: list[set[int]], a: int, b: int) -> bool:
+    """True when b is not within distance 3 of a."""
+    frontier, seen = {a}, {a}
+    for _ in range(3):
+        frontier = {w for v in frontier for w in adj[v]} - seen
+        if b in frontier:
+            return False
+        seen |= frontier
+    return True
+
+
+@st.composite
+def graphs_of_girth_five(draw) -> zf.Graph:
+    """Random edges, each kept only if it closes no cycle shorter than 5."""
+    n = draw(st.integers(min_value=1, max_value=10))
+    pairs = draw(st.permutations([(u, v) for u in range(n) for v in range(u + 1, n)]))
+    adj: list[set[int]] = [set() for _ in range(n)]
+    for u, v in pairs[: draw(st.integers(min_value=0, max_value=len(pairs)))]:
+        if _far_apart(adj, u, v):
+            adj[u].add(v)
+            adj[v].add(u)
+    return zf.Graph.from_edges(n, [(u, v) for u in range(n) for v in adj[u] if u < v])
+
+
+GRAPH_CLASSES = {
+    "triangle": (graphs_with_a_triangle(), lambda gir: gir == 3),
+    "four_cycle": (graphs_with_a_four_cycle(), lambda gir: gir == 4),
+    "girth_five": (graphs_of_girth_five(), lambda gir: gir is None or gir >= 5),
+}
+
+
+def direct_vertex_probability(g: zf.Graph, u: int) -> Fraction:
+    """Inclusion-exclusion over the subsets I of N(u), on Python sets."""
+    nbrs = zf.bit_list(g.adj[u])
+    total = Fraction(0)
+    for k in range(len(nbrs) + 1):
+        for chosen in combinations(nbrs, k):
+            covered = {u}
+            for w in chosen:
+                covered |= {w, *zf.bit_list(g.adj[w])}
+            total += Fraction((-1) ** k, len(covered))
+    return total
+
+
+@pytest.mark.parametrize("kind", sorted(GRAPH_CLASSES))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_memoised_vertex_probability_matches_direct_inclusion_exclusion(kind, data):
+    strategy, girth_ok = GRAPH_CLASSES[kind]
+    g = data.draw(strategy)
+    assert girth_ok(zf.girth(g))
+    for u in range(g.n):
+        assert zf.vertex_probability(g, u) == direct_vertex_probability(g, u)
+
+
+@pytest.mark.parametrize("kind", sorted(GRAPH_CLASSES))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_seeds_skipped_as_futile_fail_the_certificate(kind, data):
+    g = data.draw(GRAPH_CLASSES[kind][0].filter(lambda g: g.max_degree() >= 3))
+    d = g.max_degree()
+    for v in range(g.n):
+        if not _futile_seeds(g, d, v):
+            continue
+        for u in zf.bit_list(g.adj[v]):
+            cert = zf.seed_certificate(g, g.closed_neighborhood(v) & ~(1 << u))
+            assert cert.closure == g.closed_neighborhood(v) and not cert.valid
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_graphs(max_n=10))
+def test_neighbors_are_the_adjacency_rows_and_stay_out_of_eq_and_hash(g):
+    assert [list(row) for row in g.neighbors] == [zf.bit_list(m) for m in g.adj]
+    twin = zf.Graph(g.n, g.adj)
+    del vars(twin)["neighbors"]
+    assert g == twin and hash(g) == hash(twin)
+    assert twin.neighbors == g.neighbors
