@@ -156,11 +156,15 @@ def _has_k33_component(g: Graph) -> bool:
 def upper_exception_free(g: Graph) -> BoundEntry:
     """(d-2)n/(d-1), valid exactly when the graph is none of the six
     exceptional graphs."""
+    return _exception_free(g, is_connected(g), exceptional_tag(g))
+
+
+def _exception_free(g: Graph, conn: bool, tag: ExceptionalGraph | None) -> BoundEntry:
+    """The exception_free entry, given g's connectivity and exceptional tag."""
     d = g.max_degree()
     name, kind, source = "exception_free", "upper", "(d-2)n/(d-1) outside six exceptional graphs"
-    if not is_connected(g) or d < 3:
+    if not conn or d < 3:
         return BoundEntry(name, kind, None, False, "needs connected, max degree >= 3", PROVEN, source)
-    tag = exceptional_tag(g)
     if tag is not None:
         return BoundEntry(name, kind, None, False, f"exceptional graph: {tag.value}", PROVEN, source)
     return BoundEntry(name, kind, Fraction((d - 2) * g.n, d - 1), True, "", PROVEN, source)
@@ -253,6 +257,7 @@ def bounds_report(g: Graph, with_exact: bool = False,
     delta = g.min_degree()
     gir = girth(g)
     conn = is_connected(g)
+    tag = exceptional_tag(g)
     entries = []
 
     def closed_form(name, kind, status, source, ok, reason, value):
@@ -273,11 +278,11 @@ def bounds_report(g: Graph, with_exact: bool = False,
     )
     closed_form(
         "noncomplete", "upper", PROVEN, "(d-1)n/d for connected non-complete graphs",
-        conn and d >= 3 and exceptional_tag(g) is not ExceptionalGraph.COMPLETE,
+        conn and d >= 3 and tag is not ExceptionalGraph.COMPLETE,
         "needs connected, max degree >= 3, and not the complete graph",
         lambda: upper_noncomplete(n, d),
     )
-    entries.append(upper_exception_free(g))
+    entries.append(_exception_free(g, conn, tag))
     closed_form(
         "subcubic_girth5", "upper", PROVEN, "n/2 - n/(24 log2 n + 6) + 2",
         conn and d == 3 and (gir is None or gir >= 5),

@@ -138,6 +138,11 @@ def _cmd_heuristic(args, parser) -> int:
 
 
 def _cmd_bounds(args, parser) -> int:
+    if args.budget is not None:
+        if args.budget < 0:
+            parser.error(f"budget must be >= 0, got {args.budget}")
+        if not args.exact:
+            parser.error("--budget caps the exact solver; it needs --exact")
     g = _load_graph(args, parser)
     try:
         report = bounds_report(g, with_exact=args.exact, budget=args.budget)
@@ -265,7 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_args(p)
     p.add_argument("--exact", action="store_true",
                    help="attach the exact value and check the sandwich")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=None,
+                   help="cap on closure invocations of --exact")
     _add_quiet(p)
     p.set_defaults(func=_cmd_bounds)
 

@@ -20,6 +20,7 @@ guarantee:
 from __future__ import annotations
 
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -28,7 +29,15 @@ from random import Random
 
 from .exact import zero_forcing_number
 from .families import ExceptionalGraph, exceptional_tag
-from .forcing import ForcingTrace, closure, closure_mask, is_zero_forcing_set, permutation_to_set
+from .forcing import (
+    ForcingTrace,
+    _check_subset,
+    closure,
+    closure_core,
+    closure_mask,
+    is_zero_forcing_set,
+    permutation_to_set,
+)
 from .graph import Graph, VertexSet, bit_list, bits, girth, is_connected, mask_of, reachable, shortest_cycle
 from .ratmath import (
     cost_within_log_budget,
@@ -295,7 +304,11 @@ def greedy_extend(g: Graph, cert: SeedCertificate) -> HeuristicResult:
     Each round picks the smallest closure vertex with neighbors both
     inside and outside, adds all but the smallest outside neighbor, and
     recloses; the certificate ratio and the no-isolated-vertex property
-    are rechecked every round.
+    are rechecked every round.  No closure vertex is isolated, so the
+    vertices with neighbors both inside and outside are the boundary the
+    closure reports as stalled; the closure only grows, so each round
+    restarts from that boundary plus the added vertices and checks only
+    the newly filled vertices for isolation.
     """
     d = g.max_degree()
     if d < 3:
@@ -304,25 +317,25 @@ def greedy_extend(g: Graph, cert: SeedCertificate) -> HeuristicResult:
         raise ValueError("greedy extension needs a connected graph")
     if not cert.valid:
         raise ValueError("greedy extension needs a valid seed certificate")
+    adj, full = g.adj, g.full_mask
     z = cert.z0
-    filled = closure_mask(g, z)  # recompute rather than trust the field
-    full = g.full_mask
+    # Recompute rather than trust the certificate's fields.
+    filled, boundary = closure_core(adj, z, z)
+    if not z or any(not adj[w] & filled for w in bits(filled)):
+        raise ValueError("greedy extension needs a valid seed certificate")
     while filled != full:
-        v = next(
-            v for v in bits(filled)
-            if g.adj[v] & filled and g.adj[v] & ~filled
-        )
-        out = g.adj[v] & ~filled
+        v = (boundary & -boundary).bit_length() - 1
+        out = adj[v] & ~filled
         if not out & (out - 1):
             raise AssertionError("closure left a vertex with one unfilled neighbor")
         add = out ^ (out & -out)  # keep the smallest outside neighbor out
         z |= add
-        filled = closure_mask(g, filled | add)
-        size = filled.bit_count()
-        if size * (d - 2) < z.bit_count() * (d - 1):
+        grown, boundary = closure_core(adj, filled | add, boundary | add)
+        if grown.bit_count() * (d - 2) < z.bit_count() * (d - 1):
             raise AssertionError("greedy extension broke the seed ratio")
-        if any(not g.adj[w] & filled for w in bits(filled)):
+        if any(not adj[w] & grown for w in bits(grown & ~filled)):
             raise AssertionError("greedy extension isolated a closure vertex")
+        filled = grown
     return HeuristicResult(
         zfs=z,
         method="greedy",
@@ -464,9 +477,19 @@ def expected_size(g: Graph) -> Fraction:
     """Exact expected size of the random-order zero forcing set.
 
     This double sum is itself an upper bound for the zero forcing
-    number, by the first moment principle.
+    number, by the first moment principle.  At girth >= 5 or on a forest
+    a vertex's probability depends only on its sorted neighbor degrees,
+    so the vertices are counted per degree key and each key's
+    probability is added once, times its count.
     """
-    return sum((vertex_probability(g, u) for u in range(g.n)), Fraction(0))
+    if (g.girth or 5) < 5:
+        return sum((vertex_probability(g, u) for u in range(g.n)), Fraction(0))
+    if g.max_degree() > 20:
+        raise ValueError("inclusion-exclusion limited to degree <= 20")
+    degrees = g.degrees
+    counts = Counter(tuple(sorted([degrees[v] for v in nbrs])) for nbrs in g.neighbors)
+    return sum((count * _probability_from_degrees(key) for key, count in counts.items()),
+               Fraction(0))
 
 
 # -- extension subgraphs and the subcubic girth-5 algorithm ----------------
@@ -502,54 +525,67 @@ class ExtensionSubgraph:
         return dict(self.private)
 
 
-def _pattern_candidates(g: Graph, f: VertexSet, cap_order: int):
-    """Yield (order, r_count, kind, path, cycle) for every extension
-    subgraph of order <= cap_order, by DFS over simple paths leaving each
-    boundary vertex of the filled set.
+def _least_pattern(g: Graph, f: VertexSet, boundary: VertexSet, cap_order: int):
+    """(kind, path, cycle) of the least extension subgraph of order <=
+    cap_order under the key (order, r_count, kind, path, cycle), or None.
 
-    The candidates of order k are the same for every cap_order >= k, so a
-    caller can search by increasing order, raising the cap one at a time.
+    Walks the simple paths that leave a vertex of ``boundary`` (the
+    vertices of f with unfilled neighbors) into the unfilled region one
+    level at a time, level L holding the paths of L vertices.  A pattern
+    of order k closes on a path of k vertices (kinds a, b, d, e) or of
+    k - 1 vertices (kind c), so scanning level k - 1 yields the kinds a,
+    b and c of order k, and scanning level k the kinds d and e.  At one
+    order a kind c pattern has one unfilled vertex fewer than the others,
+    and a, b sort before d, e, so the rank c < a < b < d < e orders the
+    candidates of one order as the full key does, and a candidate of kind
+    a, b or c ends the search before level k is scanned.  Only the level
+    being scanned and the next are held, and the next is built only while
+    no candidate of its order is pending.
     """
-    adj, degrees, neighbors = g.adj, g.degrees, g.neighbors
-    boundary = [v for v in bits(f) if adj[v] & ~f]
-
-    for f0 in boundary:
-        path = [f0]
-        on_path = 1 << f0
-
-        def walk():
-            nonlocal on_path
-            x = path[-1]
-            prev = path[-2] if len(path) > 1 else -1
+    degrees, neighbors = g.degrees, g.neighbors
+    level = [((v,), 1 << v) for v in bits(boundary)]
+    pending: list = []  # kinds a, b and c of the next order, as (rank, path, cycle)
+    for order in range(1, cap_order + 1):
+        if pending:
+            return _ranked_min(pending)
+        closing: list = []  # kinds d and e of this order
+        grow = order < cap_order
+        next_level = []
+        for path, on_path in level:
+            f0, x = path[0], path[-1]
+            prev = path[-2] if order > 1 else -1
             for y in neighbors[x]:
                 if y == prev:
                     continue
                 if f >> y & 1:
                     if y == f0:
-                        if len(path) >= 3 and len(path) <= cap_order:
-                            yield (len(path), len(path) - 1, "d", (), tuple(path))
-                    elif len(path) >= 2 and len(path) + 1 <= cap_order:
-                        yield (len(path) + 1, len(path) - 1, "c", tuple(path) + (y,), ())
-                    continue
-                if on_path >> y & 1:
+                        if order >= 3:
+                            closing.append((3, (), path))
+                    elif order >= 2 and grow:
+                        pending.append((0, path + (y,), ()))
+                elif on_path >> y & 1:  # y is unfilled, so it is not f0
                     j = path.index(y)
-                    if j >= 1 and len(path) <= cap_order:
-                        yield (len(path), len(path) - 1, "e",
-                               tuple(path[: j + 1]), tuple(path[j:]))
-                    continue
-                path.append(y)
-                on_path |= 1 << y
-                deg = degrees[y]
-                if deg == 2 and len(path) <= cap_order:
-                    yield (len(path), len(path) - 1, "a", tuple(path), ())
-                if deg == 1 and len(path) >= 3 and len(path) <= cap_order:
-                    yield (len(path), len(path) - 1, "b", tuple(path), ())
-                if len(path) < cap_order:
-                    yield from walk()
-                path.pop()
-                on_path ^= 1 << y
+                    closing.append((4, path[: j + 1], path[j:]))
+                elif grow:
+                    deg = degrees[y]
+                    if deg == 2:
+                        pending.append((1, path + (y,), ()))
+                    elif deg == 1 and order >= 2:
+                        pending.append((2, path + (y,), ()))
+                    elif not pending:  # else the search ends before the next level
+                        next_level.append((path + (y,), on_path | 1 << y))
+        if closing:
+            return _ranked_min(closing)
+        level = next_level
+    return None
 
-        yield from walk()
+
+_KINDS = "cabde"  # rank order within one pattern order
+
+
+def _ranked_min(candidates: list) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
+    rank, path, cyc = min(candidates)
+    return _KINDS[rank], path, cyc
 
 
 def _order_cap(n: int) -> int:
@@ -564,9 +600,9 @@ def find_extension_subgraph(g: Graph, f: VertexSet) -> ExtensionSubgraph:
     """Minimum-order extension subgraph for the filled set f.
 
     Ties are broken by fewest unfilled vertices, then lexicographically,
-    so the result is deterministic.  The search runs by increasing order:
-    caps 1, 2, ... up to 2*log2(n) + 1, stopping at the first cap with a
-    candidate, whose least candidate is then the least overall.  Requires
+    so the result is deterministic.  The search runs level by level over
+    the paths leaving the filled boundary, up to order 2*log2(n) + 1, and
+    stops at the first order that holds a candidate.  Requires
     a connected subcubic graph of girth at least 5, f a closure inducing
     a connected subgraph of order at least 3, and an unfilled vertex of
     degree at least 2.
@@ -580,7 +616,9 @@ def find_extension_subgraph(g: Graph, f: VertexSet) -> ExtensionSubgraph:
         raise ValueError("extension subgraphs need girth >= 5")
     if not is_connected(g):
         raise ValueError("extension subgraphs need a connected graph")
-    if closure_mask(g, f) != f:
+    _check_subset(g, f)
+    closed, boundary = closure_core(g.adj, f, f)  # boundary: stalled vertices of f
+    if closed != f:
         raise ValueError("f must be closed under forcing")
     if f.bit_count() < 3 or reachable(g, (f & -f).bit_length() - 1, f) != f:
         raise ValueError("f must induce a connected subgraph of order >= 3")
@@ -588,13 +626,10 @@ def find_extension_subgraph(g: Graph, f: VertexSet) -> ExtensionSubgraph:
     if not any(g.degree(v) >= 2 for v in bits(r)):
         raise ValueError("the unfilled region has no vertex of degree >= 2")
 
-    for cap in range(1, _order_cap(n) + 1):
-        best = min(_pattern_candidates(g, f, cap), default=None)
-        if best is not None:
-            break
-    else:
+    best = _least_pattern(g, f, boundary, _order_cap(n))
+    if best is None:
         raise AssertionError("no extension subgraph within the order cap")
-    _, _, kind, path, cyc = best
+    kind, path, cyc = best
     return ExtensionSubgraph(kind, path, cyc,
                              _private_neighbors(g, f, kind, path, cyc))
 
@@ -686,14 +721,16 @@ def subcubic_girth5_zfs(g: Graph) -> HeuristicResult:
     v = next(v for v in range(n) if g.degree(v) == 3)
     u = (g.adj[v] & -g.adj[v]).bit_length() - 1
     z = g.closed_neighborhood(v) ^ (1 << u)
-    filled = closure_mask(g, z)
-    while any(g.degree(w) >= 2 for w in bits(g.full_mask ^ filled)):
+    adj = g.adj
+    filled, boundary = closure_core(adj, z, z)
+    branching = mask_of([w for w in range(n) if g.degree(w) >= 2])
+    while branching & ~filled:
         pattern = find_extension_subgraph(g, filled)
         add = _augmentation(g, filled, pattern)
         if add & filled:
             raise AssertionError("augmentation re-added filled vertices")
         cost = add.bit_count()
-        new_filled = closure_mask(g, filled | add)
+        new_filled, boundary = closure_core(adj, filled | add, boundary | add)
         gain = (new_filled & ~filled).bit_count()
         if not cost_within_log_budget(n, cost):
             raise AssertionError(f"augmentation cost {cost} above 2*log2({n})")
@@ -705,12 +742,11 @@ def subcubic_girth5_zfs(g: Graph) -> HeuristicResult:
         filled = new_filled
         if not running_ratio_ok(n, z.bit_count(), filled.bit_count()):
             raise AssertionError("augmentation broke the running ratio")
-    for w in bits(filled):
-        out = g.adj[w] & ~filled
-        if out:
-            if out.bit_count() != 2:
-                raise AssertionError("boundary vertex without exactly two pendants")
-            z |= out & -out
+    for w in bits(boundary):
+        out = adj[w] & ~filled
+        if out.bit_count() != 2:
+            raise AssertionError("boundary vertex without exactly two pendants")
+        z |= out & -out
     if not is_zero_forcing_set(g, z):
         raise AssertionError("finishing step failed to force the graph")
     return HeuristicResult(

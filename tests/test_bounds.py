@@ -186,6 +186,25 @@ def test_exception_free_entry():
     assert not g1.applicable
 
 
+def test_report_tags_each_graph_once(named_graphs, random_corpus, monkeypatch):
+    from zforce import bounds
+    graphs = list(named_graphs.values()) + random_corpus[:50]
+    reports = [bounds_report(g) for g in graphs]
+    tags = []
+
+    def counted(g):
+        tags.append(g)
+        return zf.exceptional_tag(g)
+
+    monkeypatch.setattr(bounds, "exceptional_tag", counted)
+    for g, report in zip(graphs, reports):
+        tags.clear()
+        assert bounds_report(g) == report
+        assert len(tags) == 1
+        entry = next(e for e in report.entries if e.name == "exception_free")
+        assert upper_exception_free(g) == entry
+
+
 def test_regular_girth5_entry():
     pet = upper_regular_girth5(zf.generate("petersen"))
     assert pet.applicable and pet.value == Fraction(81, 14)

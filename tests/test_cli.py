@@ -70,11 +70,23 @@ def test_exact_budget_zero_runs_no_closure(capsys):
 
 def test_negative_budget_is_usage_error(capsys):
     for argv in (["exact", "--g6", "Bg", "--budget", "-1"],
-                 ["bounds", "--g6", "Bg", "--exact", "--budget", "-1"]):
+                 ["bounds", "--g6", "Bg", "--exact", "--budget", "-1"],
+                 ["bounds", "--g6", "Bg", "--budget", "-1", "--quiet"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert "budget must be >= 0" in capsys.readouterr().err
+
+
+def test_bounds_budget_needs_exact(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bounds", "--g6", "Bg", "--budget", "3", "--quiet"])
+    assert exc.value.code == 2
+    assert "needs --exact" in capsys.readouterr().err
+    petersen = zf.to_graph6(zf.generate("petersen"))
+    code, out, _ = run(capsys, "bounds", "--g6", petersen, "--exact", "--budget", "3")
+    exact = json.loads(out)["exact"]
+    assert code == 0 and not exact["complete"] and exact["lower"] <= 5 <= exact["upper"]
 
 
 def test_closed_output_pipe_exits_quietly():

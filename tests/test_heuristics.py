@@ -14,7 +14,6 @@ from zforce.heuristics import (
     SeedCertificate,
     _augmentation,
     _order_cap,
-    _pattern_candidates,
     find_extension_subgraph,
     find_seed,
     greedy_extend,
@@ -165,6 +164,73 @@ def test_random_seed_fuzz_greedy(random_corpus):
     assert ran == 1000
 
 
+def reference_greedy_set(g, z):
+    """The greedy extension recomputed in full every round: the
+    closure of the whole filled set, and a scan for the smallest closure
+    vertex with neighbors both inside and outside."""
+    filled = zf.closure_mask(g, z)
+    while filled != g.full_mask:
+        v = next(v for v in bits(filled) if g.adj[v] & filled and g.adj[v] & ~filled)
+        out = g.adj[v] & ~filled
+        add = out ^ (out & -out)
+        z |= add
+        filled = zf.closure_mask(g, filled | add)
+    return z
+
+
+def test_greedy_extend_matches_the_full_recompute_loop(random_corpus, cubic_tf_corpus,
+                                                     cubic_g5_corpus):
+    rng = random.Random(7)
+    checked = 0
+    for g in random_corpus + cubic_tf_corpus + cubic_g5_corpus:
+        if zf.exceptional_tag(g) is not None:
+            continue
+        seeds = [find_seed(g).z0]
+        for _ in range(3):  # random valid seeds start from other closures
+            v = rng.randrange(g.n)
+            u = bit_list(g.adj[v])[rng.randrange(g.degree(v))]
+            seeds.append(g.closed_neighborhood(v) ^ (1 << u) | 1 << rng.randrange(g.n))
+        for z0 in seeds:
+            cert = seed_certificate(g, z0)
+            if cert.valid:
+                assert greedy_extend(g, cert).zfs == reference_greedy_set(g, z0)
+                checked += 1
+    assert checked >= 600
+
+
+def test_greedy_extend_rejects_a_seed_whose_closure_isolates_a_vertex():
+    g = zf.generate("petersen")
+    far = next(v for v in range(g.n) if not g.closed_neighborhood(0) >> v & 1)
+    z0 = mask_of([0, far])  # two vertices, neither can force
+    assert zf.closure_mask(g, z0) == z0
+    forged = SeedCertificate(z0, z0, 2, True, True)
+    with pytest.raises(ValueError, match="valid seed certificate"):
+        greedy_extend(g, forged)
+
+
+def test_greedy_extend_checks_newly_filled_vertices_for_isolation(cubic_g5_corpus,
+                                                                   monkeypatch):
+    # A closure that hands back a stray vertex with no filled neighbor
+    # must trip the no-isolated check of the round that produced it.
+    g = max(cubic_g5_corpus, key=lambda g: g.n)
+    cert = find_seed(g)
+    real = heuristics.closure_core
+    strays = []
+
+    def leaky(adj, filled, pending):
+        closed, stalled = real(adj, filled, pending)
+        if filled != cert.z0 and not strays:  # the first round's reclose
+            stray = next(v for v in range(g.n) if not (adj[v] | 1 << v) & closed)
+            strays.append(stray)
+            closed |= 1 << stray
+        return closed, stalled
+
+    monkeypatch.setattr(heuristics, "closure_core", leaky)
+    with pytest.raises(AssertionError, match="isolated"):
+        greedy_extend(g, cert)
+    assert strays
+
+
 # -- randomized construction ---------------------------------------------
 
 
@@ -228,9 +294,21 @@ def test_expected_size_is_upper_bound(random_corpus, exact_z):
         assert zf.expected_size(g) >= exact_z(g)
 
 
+def test_expected_size_is_the_sum_of_vertex_probabilities(random_corpus, cubic_g5_corpus):
+    # grouped by degree key at girth >= 5 and on forests, per vertex otherwise
+    trees = [zf.path(7), zf.complete_bipartite(1, 5),
+             zf.Graph.from_edges(7, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (5, 6)])]
+    pruned = [zf.Graph.from_edges(g.n, g.edges()[::2] + g.edges()[1::4]) for g in cubic_g5_corpus]
+    for g in random_corpus[:100] + cubic_g5_corpus + trees + pruned:
+        per_vertex = sum((zf.vertex_probability(g, u) for u in range(g.n)), Fraction(0))
+        assert zf.expected_size(g) == per_vertex
+
+
 def test_expected_size_degree_cap():
     with pytest.raises(ValueError):
         zf.vertex_probability(zf.complete_bipartite(1, 21), 0)
+    with pytest.raises(ValueError, match="degree <= 20"):
+        zf.expected_size(zf.complete_bipartite(1, 21))
 
 
 def test_isolated_vertex_probability_one():
@@ -239,6 +317,50 @@ def test_isolated_vertex_probability_one():
 
 
 # -- extension subgraphs -----------------------------------------------------
+
+
+def pattern_candidates(g, f, cap_order):
+    """Reference for the extension search: yield (order, r_count, kind,
+    path, cycle) for every extension subgraph of order <= cap_order, by
+    DFS over the simple paths leaving each boundary vertex of f."""
+    boundary = [v for v in bits(f) if g.adj[v] & ~f]
+    for f0 in boundary:
+        path = [f0]
+        on_path = 1 << f0
+
+        def walk():
+            nonlocal on_path
+            x = path[-1]
+            prev = path[-2] if len(path) > 1 else -1
+            for y in bits(g.adj[x]):
+                if y == prev:
+                    continue
+                if f >> y & 1:
+                    if y == f0:
+                        if len(path) >= 3 and len(path) <= cap_order:
+                            yield (len(path), len(path) - 1, "d", (), tuple(path))
+                    elif len(path) >= 2 and len(path) + 1 <= cap_order:
+                        yield (len(path) + 1, len(path) - 1, "c", tuple(path) + (y,), ())
+                    continue
+                if on_path >> y & 1:
+                    j = path.index(y)
+                    if j >= 1 and len(path) <= cap_order:
+                        yield (len(path), len(path) - 1, "e",
+                               tuple(path[: j + 1]), tuple(path[j:]))
+                    continue
+                path.append(y)
+                on_path |= 1 << y
+                deg = g.degree(y)
+                if deg == 2 and len(path) <= cap_order:
+                    yield (len(path), len(path) - 1, "a", tuple(path), ())
+                if deg == 1 and len(path) >= 3 and len(path) <= cap_order:
+                    yield (len(path), len(path) - 1, "b", tuple(path), ())
+                if len(path) < cap_order:
+                    yield from walk()
+                path.pop()
+                on_path ^= 1 << y
+
+        yield from walk()
 
 
 def _start_state(g):
@@ -310,7 +432,7 @@ def test_search_by_increasing_order_matches_the_full_cap(cubic_g5_corpus):
         filled = _start_state(g)
         while any(g.degree(w) >= 2 for w in bits(g.full_mask ^ filled)):
             h = find_extension_subgraph(g, filled)
-            _, _, kind, path, cyc = min(_pattern_candidates(g, filled, _order_cap(g.n)))
+            _, _, kind, path, cyc = min(pattern_candidates(g, filled, _order_cap(g.n)))
             assert (h.kind, h.path, h.cycle) == (kind, path, cyc)
             filled = zf.closure_mask(g, filled | _augmentation(g, filled, h))
             calls += 1

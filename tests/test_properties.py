@@ -1,18 +1,25 @@
-"""Property tests: the exact solver against the brute force oracle, the
-random-order set against its definition, the graph6 round trip, the
-closure laws, and the shortcuts of the construct path against the direct
-computations they skip."""
+"""Property tests: the exact solver and its budget intervals against the
+brute force oracle, the random-order set against its definition, the
+graph6 round trip, the closure laws, and the shortcuts of the construct
+path against the direct computations they skip."""
 
+import random
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 import zforce as zf  # noqa: E402
-from zforce.heuristics import _futile_seeds  # noqa: E402
+from test_heuristics import pattern_candidates  # noqa: E402
+from zforce.heuristics import (  # noqa: E402
+    _augmentation,
+    _futile_seeds,
+    _order_cap,
+    find_extension_subgraph,
+)
 
 
 @st.composite
@@ -30,6 +37,21 @@ def test_solver_matches_oracle_with_a_forcing_witness(g):
     assert res.value == zf.brute_force_oracle(g).value
     assert res.witness.bit_count() == res.value
     assert zf.is_zero_forcing_set(g, res.witness)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_budget_intervals_contain_the_oracle_value(data):
+    g = data.draw(small_graphs(max_n=10))
+    full = zf.zero_forcing_number(g).nodes_explored
+    budget = data.draw(st.integers(min_value=0, max_value=full + 3))
+    z = zf.brute_force_oracle(g).value
+    res = zf.zero_forcing_number(g, budget)
+    assert res.lower <= z <= res.upper
+    assert res.complete == (res.value is not None) == (budget >= full)
+    assert res.nodes_explored == min(budget, full)
+    if res.complete:
+        assert res.value == z and zf.is_zero_forcing_set(g, res.witness)
 
 
 @st.composite
@@ -188,3 +210,78 @@ def test_neighbors_are_the_adjacency_rows_and_stay_out_of_eq_and_hash(g):
     del vars(twin)["neighbors"]
     assert g == twin and hash(g) == hash(twin)
     assert twin.neighbors == g.neighbors
+
+
+@st.composite
+def subcubic_girth5_with_closed_sets(draw) -> tuple[zf.Graph, int]:
+    """A connected graph of maximum degree <= 3 and girth >= 5, and the
+    closure of a closed neighborhood grown by a few adjacent vertices.
+
+    The graph starts as the generalized Petersen graph GP(m, 2), is
+    randomized by double edge swaps that keep it cubic with girth >= 5,
+    and loses a few edges where that keeps it connected, which leaves
+    vertices of degree 1 and 2."""
+    m = draw(st.integers(min_value=12, max_value=30))
+    n = 2 * m
+    adj: list[set[int]] = [set() for _ in range(n)]
+
+    def link(u, v, present=True):
+        (adj[u].add if present else adj[u].discard)(v)
+        (adj[v].add if present else adj[v].discard)(u)
+
+    for i in range(m):
+        link(i, (i + 1) % m)
+        link(i, m + i)
+        link(m + i, m + (i + 2) % m)
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32)))
+    for _ in range(4 * n):
+        a, c = rng.sample(range(n), 2)
+        b, d = rng.choice(sorted(adj[a])), rng.choice(sorted(adj[c]))
+        if len({a, b, c, d}) < 4 or d in adj[a] or b in adj[c]:
+            continue
+        link(a, b, False)
+        link(c, d, False)
+        if _far_apart(adj, a, d):
+            link(a, d)
+            if _far_apart(adj, c, b):
+                link(c, b)
+                continue
+            link(a, d, False)
+        link(a, b)
+        link(c, d)
+    edges = [(u, v) for u in range(n) for v in adj[u] if u < v]
+    assume(zf.is_connected(zf.Graph.from_edges(n, edges)))
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        keep = edges[:]
+        keep.remove(rng.choice(edges))
+        if zf.is_connected(zf.Graph.from_edges(n, keep)):
+            edges = keep
+    g = zf.Graph.from_edges(n, edges)
+    grown = g.closed_neighborhood(rng.randrange(n))
+    for _ in range(draw(st.integers(min_value=0, max_value=2))):
+        fringe = [w for w in range(n) if g.adj[w] & grown and not grown >> w & 1]
+        grown |= 1 << rng.choice(fringe)
+    return g, zf.closure_mask(g, grown)
+
+
+@settings(max_examples=100, deadline=None)
+@given(subcubic_girth5_with_closed_sets())
+def test_level_search_finds_the_least_extension_subgraph(case):
+    # the drawn closed set, then the sets the subcubic construction
+    # visits from it
+    g, f = case
+    assume(f.bit_count() >= 3)
+    for _ in range(10):
+        if not any(g.degree(v) >= 2 for v in zf.bits(g.full_mask ^ f)):
+            break
+        least = min(pattern_candidates(g, f, _order_cap(g.n)), default=None)
+        if least is None:
+            with pytest.raises(AssertionError, match="order cap"):
+                find_extension_subgraph(g, f)
+            break
+        h = find_extension_subgraph(g, f)
+        assert (h.kind, h.path, h.cycle) == least[2:]
+        try:
+            f = zf.closure_mask(g, f | _augmentation(g, f, h))
+        except AssertionError:  # a pattern without the private neighbors it needs
+            break
