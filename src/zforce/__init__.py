@@ -79,7 +79,6 @@ from .bounds import (
     upper_cubic_trianglefree,
     upper_degree_ratio,
     upper_degree_refined,
-    upper_degree_refined_additive,
     upper_exception_free,
     upper_noncomplete,
     upper_regular_girth5,

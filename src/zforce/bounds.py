@@ -86,18 +86,6 @@ def upper_degree_refined(n: int, d: int) -> Fraction:
     return Fraction((d - 2) * n + 2, d - 1)
 
 
-def upper_degree_refined_additive(n: int, d: int) -> Fraction:
-    """(d-2)n/(d-1) + 2/(d+1): a published variant of the refined bound.
-
-    Exposed for comparison only.  It undercuts the true value on cycles,
-    complete graphs, and balanced complete bipartite graphs, so it never
-    participates in verification; use ``upper_degree_refined``.
-    """
-    if d < 2:
-        raise ValueError("needs maximum degree >= 2")
-    return Fraction((d - 2) * n, d - 1) + Fraction(2, d + 1)
-
-
 def upper_noncomplete(n: int, d: int) -> Fraction:
     """(d-1)*n/d for connected, max degree d >= 3, not complete on d+1."""
     if d < 3:
@@ -306,12 +294,6 @@ def bounds_report(g: Graph, with_exact: bool = False,
     )
 
     info: dict = {}
-    if d >= 2:
-        v = upper_degree_refined_additive(n, d)
-        info["degree_refined_additive"] = {
-            "num": v.numerator, "den": v.denominator, "decimal": float(v),
-            "note": "comparison only, not verification-grade",
-        }
     r = g.is_regular()
     if r is not None and r >= 1 and (gir is None or gir >= 5):
         first_order = (1 - harmonic(r) / r) * n

@@ -248,14 +248,14 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_args(p)
     p.add_argument("--set", required=True, help="comma-separated vertex indices")
     _add_quiet(p)
-    p.set_defaults(func=_cmd_closure)
+    p.set_defaults(func=_cmd_closure, parser=p)
 
     p = sub.add_parser("exact", help="exact zero forcing number with witness")
     _add_source_args(p)
     p.add_argument("--budget", type=int, default=None,
                    help="cap on closure invocations")
     _add_quiet(p)
-    p.set_defaults(func=_cmd_exact)
+    p.set_defaults(func=_cmd_exact, parser=p)
 
     p = sub.add_parser("heuristic", help="constructive zero forcing sets")
     _add_source_args(p)
@@ -264,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
     _add_quiet(p)
-    p.set_defaults(func=_cmd_heuristic)
+    p.set_defaults(func=_cmd_heuristic, parser=p)
 
     p = sub.add_parser("bounds", help="evaluate the full bound catalog")
     _add_source_args(p)
@@ -273,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None,
                    help="cap on closure invocations of --exact")
     _add_quiet(p)
-    p.set_defaults(func=_cmd_bounds)
+    p.set_defaults(func=_cmd_bounds, parser=p)
 
     p = sub.add_parser("verify", help="batch-check a graph6 stream")
     _add_source_args(p)
@@ -281,19 +281,19 @@ def build_parser() -> argparse.ArgumentParser:
                    help="solve exactly up to this order (default 12)")
     p.add_argument("--hunt-conjecture", action="store_true",
                    help="flag connected subcubic graphs with Z > n/3 + 2")
-    p.set_defaults(func=_cmd_verify)
+    p.set_defaults(func=_cmd_verify, parser=p)
 
     p = sub.add_parser("gen", help="emit a named family member")
     p.add_argument("family", choices=family_names())
     p.add_argument("params", nargs="*", type=int)
     p.add_argument("--format", choices=["graph6", "edges", "dot"],
                    default="graph6")
-    p.set_defaults(func=_cmd_gen)
+    p.set_defaults(func=_cmd_gen, parser=p)
 
     p = sub.add_parser("expect", help="exact expected random-order set size")
     _add_source_args(p)
     _add_quiet(p)
-    p.set_defaults(func=_cmd_expect)
+    p.set_defaults(func=_cmd_expect, parser=p)
 
     return parser
 
@@ -302,7 +302,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = args.func(args, parser)
+        # Each handler reports usage errors through its own subparser, so
+        # the message carries that subcommand's usage line.
+        code = args.func(args, args.parser)
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader closed the pipe (`zforce ... | head`): stop quietly.

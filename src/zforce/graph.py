@@ -155,15 +155,25 @@ class Graph:
 
     @cached_property
     def girth(self) -> int | None:
-        """Length of a shortest cycle, or None for forests (cached).
+        """Length of a shortest cycle, or None for forests (cached)."""
+        return None if self.shortest_cycle is None else len(self.shortest_cycle)
+
+    @cached_property
+    def shortest_cycle(self) -> tuple[int, ...] | None:
+        """A shortest cycle as a vertex tuple, or None for forests (cached).
 
         Runs a BFS from every vertex; any non-tree edge between explored
         vertices closes a walk of length dist[u] + dist[w] + 1 through the
         root, which always contains a cycle at most that long.  Rooting at a
         vertex of a shortest cycle makes the estimate exact, so the minimum
-        over all roots is the girth.
+        over all roots is the girth.  The walk is recorded whenever it
+        improves on the best so far; once its length equals the girth, the
+        two root paths meet only at the root (a shared vertex would leave a
+        shorter cycle), so the walk is a cycle.  Among shortest cycles the
+        first one met from the smallest root is kept.
         """
         best: int | None = None
+        cycle: list[int] | None = None
         neighbors = self.neighbors
         for root in range(self.n):
             dist = [-1] * self.n
@@ -184,8 +194,9 @@ class Graph:
                             cand = dist[v] + dist[u] + 1
                             if best is None or cand < best:
                                 best = cand
+                                cycle = _root_path(parent, v)[::-1] + _root_path(parent, u)[:-1]
                 queue = nxt
-        return best
+        return None if cycle is None else tuple(cycle)
 
 
 def reachable(g: Graph, start: int, within: VertexSet | None = None) -> VertexSet:
@@ -237,37 +248,11 @@ def girth(g: Graph) -> int | None:
 def shortest_cycle(g: Graph) -> list[int] | None:
     """A shortest cycle as a vertex list, or None for forests.
 
-    Deterministic: among shortest cycles the one found from the smallest
-    root is returned.
+    Deterministic: among shortest cycles the first one met from the
+    smallest root is returned.  Found by the same cached BFS as the girth.
     """
-    target = girth(g)
-    if target is None:
-        return None
-    neighbors = g.neighbors
-    for root in range(g.n):
-        dist = [-1] * g.n
-        parent = [-1] * g.n
-        dist[root] = 0
-        queue = [root]
-        while queue:
-            nxt = []
-            for v in queue:
-                if 2 * dist[v] >= target:
-                    continue
-                for u in neighbors[v]:
-                    if dist[u] == -1:
-                        dist[u] = dist[v] + 1
-                        parent[u] = v
-                        nxt.append(u)
-                    elif parent[v] != u and parent[u] != v:
-                        if dist[v] + dist[u] + 1 == target:
-                            left = _root_path(parent, v)
-                            right = _root_path(parent, u)
-                            shared = set(left) & set(right)
-                            if len(shared) == 1:  # meet only at the root
-                                return left[::-1] + right[:-1]
-            queue = nxt
-    raise AssertionError("shortest cycle not reconstructed")  # pragma: no cover
+    cyc = g.shortest_cycle
+    return None if cyc is None else list(cyc)
 
 
 def _root_path(parent: list[int], v: int) -> list[int]:

@@ -19,7 +19,6 @@ guarantee:
 
 from __future__ import annotations
 
-import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -183,22 +182,6 @@ def _short_girth_candidates(g: Graph, cyc: list[int]):
                     yield cand
 
 
-def _ball_candidates(g: Graph, cyc: list[int]):
-    """Last-resort seed search: subsets of the distance-2 ball of the
-    cycle, by increasing size, capped at max-degree * girth."""
-    ball = mask_of(cyc)
-    for _ in range(2):
-        grow = 0
-        for v in bits(ball):
-            grow |= g.adj[v]
-        ball |= grow
-    members = bit_list(ball)
-    cap = min(len(members), g.max_degree() * len(cyc))
-    for size in range(1, cap + 1):
-        for sub in combinations(members, size):
-            yield mask_of(sub)
-
-
 def _futile_seeds(g: Graph, d: int, v: int) -> bool:
     """True when every seed N[v] - u provably fails the ratio test.
 
@@ -214,16 +197,17 @@ def _futile_seeds(g: Graph, d: int, v: int) -> bool:
             and (g.girth or 4) >= 4)
 
 
-def find_seed(g: Graph, candidate_budget: int = 300_000) -> SeedCertificate | ExceptionalGraph:
+def find_seed(g: Graph) -> SeedCertificate | ExceptionalGraph:
     """A valid seed certificate, or the exceptional-graph tag.
 
     Tries, in order: single closed neighborhoods minus one vertex (always
     enough when some degree is at most D-2), the shortest-cycle
-    constructions for girth at least 5, a structured family around the
-    shortest cycle for girth 3 and 4, then a widening exhaustive search.
-    Every non-exceptional connected graph with D >= 3 admits a seed, and
-    for those the structured phases are known to suffice; the exhaustive
-    phases are defensive.
+    construction for girth at least 5, and a structured family around
+    the shortest cycle for girth 3 and 4.  Every non-exceptional
+    connected graph with D >= 3 admits a seed, and a census of every
+    connected graph with n <= 8 finds one in these phases (the test
+    suite repeats it for n <= 7).  A graph that gets past them raises
+    ``AssertionError``.
     """
     if not is_connected(g):
         raise ValueError("seed search needs a connected graph")
@@ -234,68 +218,40 @@ def find_seed(g: Graph, candidate_budget: int = 300_000) -> SeedCertificate | Ex
         return tag
 
     seen: set[int] = set()
-    tried = 0
 
-    def test(z0: VertexSet, futile: bool = False) -> SeedCertificate | None:
-        nonlocal tried
+    def test(z0: VertexSet) -> SeedCertificate | None:
         if z0 in seen:
             return None
         seen.add(z0)
-        tried += 1
-        if futile:
-            return None
         cert = seed_certificate(g, z0)
         return cert if cert.valid else None
 
     # Single-vertex seeds, lowest degree first: guaranteed to satisfy the
-    # ratio whenever some vertex has degree at most D-2.  Futile seeds skip
-    # the closure but still count as tried, so the budgets below see the
-    # same counts.
+    # ratio whenever some vertex has degree at most D-2.
     d = g.max_degree()
     degrees, neighbors = g.degrees, g.neighbors
     for v in sorted(range(g.n), key=lambda v: (degrees[v], v)):
+        if _futile_seeds(g, d, v):
+            continue
         closed = g.closed_neighborhood(v)
-        futile = _futile_seeds(g, d, v)
         for u in neighbors[v]:
-            cert = test(closed & ~(1 << u), futile)
+            cert = test(closed & ~(1 << u))
             if cert:
                 return cert
 
     cyc = shortest_cycle(g)
     if cyc is None:  # min degree >= 2 here, so a cycle must exist
         raise AssertionError("connected graph with all degrees >= 2 has a cycle")
-
     if len(cyc) >= 5:
         z0 = _girth5_seed(g, cyc)
-        if z0 is not None:
-            cert = test(z0)
-            if cert:
-                return cert
+        candidates = [] if z0 is None else [z0]
     else:
-        for z0 in _short_girth_candidates(g, cyc):
-            cert = test(z0)
-            if cert:
-                return cert
-            if tried >= candidate_budget:
-                break
-
-    for z0 in _ball_candidates(g, cyc):
+        candidates = _short_girth_candidates(g, cyc)
+    for z0 in candidates:
         cert = test(z0)
         if cert:
             return cert
-        if tried >= 2 * candidate_budget:
-            break
-
-    warnings.warn(
-        "structured seed search failed; falling back to full subset search",
-        RuntimeWarning,
-    )
-    for size in range(1, g.n + 1):
-        for sub in combinations(range(g.n), size):
-            cert = test(mask_of(sub))
-            if cert:
-                return cert
-    raise AssertionError("no seed certificate exists; graph should be exceptional")
+    raise AssertionError("no structured seed certificate; graph should be exceptional")
 
 
 def greedy_extend(g: Graph, cert: SeedCertificate) -> HeuristicResult:

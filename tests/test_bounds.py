@@ -14,7 +14,6 @@ from zforce.bounds import (
     upper_cubic_trianglefree,
     upper_degree_ratio,
     upper_degree_refined,
-    upper_degree_refined_additive,
     upper_exception_free,
     upper_noncomplete,
     upper_regular_girth5,
@@ -40,15 +39,6 @@ def test_degree_refined_values():
     assert upper_degree_refined(6, 2) == 2  # cycles are extremal
     assert upper_degree_refined(8, 4) == 6
     assert upper_degree_refined(4, 3) == 3
-
-
-def test_degree_refined_additive_is_display_only():
-    # the additive variant undercuts true values on the extremal graphs,
-    # which is why it never enters verification
-    assert upper_degree_refined_additive(4, 3) == Fraction(5, 2)  # K4 has Z=3
-    assert upper_degree_refined_additive(6, 3) == Fraction(7, 2)  # K33 has Z=4
-    assert upper_degree_refined(4, 3) == 3
-    assert upper_degree_refined(6, 3) == 4
 
 
 def test_noncomplete_values():

@@ -89,6 +89,15 @@ def test_bounds_budget_needs_exact(capsys):
     assert code == 0 and not exact["complete"] and exact["lower"] <= 5 <= exact["upper"]
 
 
+def test_usage_error_shows_the_subcommand_usage(capsys):
+    for argv, usage in ((["bounds", "--g6", "Bg", "--budget", "3"], "usage: zforce bounds"),
+                        (["closure", "--g6", "Bg", "--set", "9"], "usage: zforce closure")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith(usage)
+
+
 def test_closed_output_pipe_exits_quietly():
     # `zforce bounds ... | head -5` where head has already gone away
     read_end, write_end = os.pipe()

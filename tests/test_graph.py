@@ -141,3 +141,42 @@ def test_shortest_cycle_is_shortest_and_real(random_corpus):
         assert len(set(cyc)) == target
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
             assert g.has_edge(a, b)
+
+
+def shortest_cycle_reference(g: Graph):
+    """The two-pass search: the girth first, then a second BFS from each
+    root in turn until a walk of that length meets only at the root."""
+    target = zf.girth(g)
+    if target is None:
+        return None
+    for root in range(g.n):
+        dist = [-1] * g.n
+        parent = [-1] * g.n
+        dist[root] = 0
+        queue = [root]
+        while queue:
+            nxt = []
+            for v in queue:
+                if 2 * dist[v] >= target:
+                    continue
+                for u in g.neighbors[v]:
+                    if dist[u] == -1:
+                        dist[u] = dist[v] + 1
+                        parent[u] = v
+                        nxt.append(u)
+                    elif parent[v] != u and parent[u] != v and dist[v] + dist[u] + 1 == target:
+                        left, right = [v], [u]
+                        while parent[left[-1]] != -1:
+                            left.append(parent[left[-1]])
+                        while parent[right[-1]] != -1:
+                            right.append(parent[right[-1]])
+                        if len(set(left) & set(right)) == 1:  # meet only at the root
+                            return left[::-1] + right[:-1]
+            queue = nxt
+    raise AssertionError("shortest cycle not reconstructed")
+
+
+def test_shortest_cycle_matches_the_two_pass_search(random_corpus, cubic_tf_corpus,
+                                                    cubic_g5_corpus, named_graphs):
+    for g in random_corpus + cubic_tf_corpus + cubic_g5_corpus + list(named_graphs.values()):
+        assert zf.shortest_cycle(g) == shortest_cycle_reference(g)

@@ -1,7 +1,6 @@
 """Seeds, greedy extension, randomized sets, extension patterns."""
 
 import random
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -87,10 +86,18 @@ def test_find_seed_valid_on_corpus_without_full_fallback(random_corpus):
     for g in random_corpus:
         if zf.exceptional_tag(g) is not None:
             continue
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")  # the loud fallback must not trigger
-            cert = find_seed(g)
+        cert = find_seed(g)
         assert isinstance(cert, SeedCertificate) and cert.valid
+
+
+def test_find_seed_fails_loudly_past_its_structured_phases(monkeypatch):
+    # On the cube (cubic, girth 4) every single-vertex seed is futile, so
+    # with no girth-3/4 candidate the search has nothing left to try.
+    cube = zf.Graph.from_edges(8, [(v, v ^ b) for v in range(8) for b in (1, 2, 4) if v < v ^ b])
+    assert isinstance(find_seed(cube), SeedCertificate)
+    monkeypatch.setattr(heuristics, "_short_girth_candidates", lambda g, cyc: iter(()))
+    with pytest.raises(AssertionError, match="no structured seed"):
+        find_seed(cube)
 
 
 def test_greedy_extend_requires_valid_certificate():
