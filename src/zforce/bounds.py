@@ -15,7 +15,7 @@ from fractions import Fraction
 from .exact import ExactResult, zero_forcing_number
 from .families import ExceptionalGraph, complete_bipartite_parts, exceptional_tag
 from .graph import Graph, components, girth, is_connected
-from .heuristics import vertex_probability
+from .heuristics import probability_classes, vertex_probability
 from .ratmath import girth5_regular_factor, harmonic, subcubic_girth5_value
 
 PROVEN = "proven"
@@ -130,6 +130,8 @@ def classify_vertex(g: Graph, u: int) -> VertexType:
 
 
 def _has_k33_component(g: Graph) -> bool:
+    if g.n != 6 and is_connected(g):
+        return False
     for comp in components(g):
         if comp.bit_count() == 6:
             sub, _ = g.induced(comp)
@@ -180,15 +182,20 @@ def upper_cubic_trianglefree(g: Graph) -> BoundEntry:
         return BoundEntry(name, kind, None, False, "graph has a triangle", PROVEN, source)
     if _has_k33_component(g):
         return BoundEntry(name, kind, None, False, "a component is K_3,3", PROVEN, source)
-    total = sum((classify_vertex(g, u).probability for u in range(g.n)), Fraction(0))
+    total = sum((count * TYPE_PROBABILITIES[i] for i, count in classify_counts(g).items()),
+                Fraction(0))
     return BoundEntry(name, kind, total, True, "", PROVEN, source)
 
 
 def classify_counts(g: Graph) -> dict[int, int]:
-    """How many vertices of each type 1..7 the graph has."""
+    """How many vertices of each type 1..7 the graph has.
+
+    Vertices that share the key of ``vertex_probability`` share its
+    value and so their type; one vertex per key is classified.
+    """
     counts = {i: 0 for i in TYPE_PROBABILITIES}
-    for u in range(g.n):
-        counts[classify_vertex(g, u).index] += 1
+    for u, count in probability_classes(g):
+        counts[classify_vertex(g, u).index] += count
     return counts
 
 

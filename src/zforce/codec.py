@@ -7,7 +7,9 @@ report the byte offset at which the input went wrong.
 
 from __future__ import annotations
 
-from .graph import Graph, bits
+import re
+
+from .graph import Graph
 
 _HEADER = ">>graph6<<"
 
@@ -20,52 +22,63 @@ class Graph6Error(ValueError):
         self.offset = offset
 
 
-def _check_bytes(text: str, start: int) -> None:
-    for i in range(start, len(text)):
-        b = ord(text[i])
-        if not 63 <= b <= 126:
-            raise Graph6Error(f"byte {b!r} outside graph6 range 63..126", i)
+_BAD_BYTE = re.compile("[^?-~]")  # outside 63..126
+_SIX_BITS = {63 + k: format(k, "06b") for k in range(64)}
 
 
 def parse_graph6(text: str) -> Graph:
-    """Decode one graph6 line into a Graph."""
+    """Decode one graph6 line into a Graph.
+
+    Error offsets count from the start of ``text``, leading whitespace
+    and the optional header included.
+    """
     s = text.strip()
+    skip = len(text) - len(text.lstrip())
     if s.startswith(_HEADER):
         s = s[len(_HEADER):]
+        skip += len(_HEADER)
     if not s:
-        raise Graph6Error("empty input", 0)
-    _check_bytes(s, 0)
+        raise Graph6Error("empty input", skip)
+    bad = _BAD_BYTE.search(s)
+    if bad is not None:
+        raise Graph6Error(f"byte {ord(bad.group())!r} outside graph6 range 63..126",
+                          skip + bad.start())
     if s[0] != "~":
         n = ord(s[0]) - 63
         body = 1
     elif len(s) >= 2 and s[1] != "~":
         if len(s) < 4:
-            raise Graph6Error("truncated 3-byte length header", len(s))
+            raise Graph6Error("truncated 3-byte length header", skip + len(s))
         n = 0
         for i in range(1, 4):
             n = n << 6 | (ord(s[i]) - 63)
         body = 4
     else:
-        raise Graph6Error("length headers beyond 3 bytes are not supported", 0)
+        raise Graph6Error("length headers beyond 3 bytes are not supported", skip)
     if n < 1:
-        raise Graph6Error("graph6 order must be at least 1", 0)
+        raise Graph6Error("graph6 order must be at least 1", skip)
     nbits = n * (n - 1) // 2
     need = (nbits + 5) // 6
     if len(s) - body < need:
-        raise Graph6Error(f"need {need} data bytes, found {len(s) - body}", len(s))
+        raise Graph6Error(f"need {need} data bytes, found {len(s) - body}", skip + len(s))
     if len(s) - body > need:
-        raise Graph6Error("trailing garbage after graph data", body + need)
-    stream = "".join(format(ord(c) - 63, "06b") for c in s[body:])
+        raise Graph6Error("trailing garbage after graph data", skip + body + need)
+    stream = s[body:].translate(_SIX_BITS)
     if "1" in stream[nbits:]:  # padding sits in the last byte only
-        raise Graph6Error("nonzero padding bits", body + need - 1)
+        raise Graph6Error("nonzero padding bits", skip + body + need - 1)
+    # Reversed, the stream reads column v (bits (0,v), ..., (v-1,v)) as
+    # one binary numeral with bit u set iff u ~ v.
+    stream = stream[nbits - 1::-1]
     rows = [0] * n
-    pos = 0  # start of column v: bits (0,v), (1,v), ..., (v-1,v)
+    end = nbits  # column v ends here in the reversed stream
     for v in range(1, n):
-        col = int(stream[pos:pos + v][::-1], 2)  # bit u set iff u ~ v
-        pos += v
-        rows[v] |= col
-        for u in bits(col):
-            rows[u] |= 1 << v
+        col = int(stream[end - v:end], 2)
+        end -= v
+        rows[v] = col
+        while col:
+            low = col & -col
+            rows[low.bit_length() - 1] |= 1 << v
+            col ^= low
     return Graph(n, tuple(rows))
 
 

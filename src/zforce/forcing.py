@@ -158,9 +158,13 @@ def permutation_to_set(g: Graph, order: list[int]) -> VertexSet:
     always a zero forcing set: replaying the order left to right, each
     skipped vertex is forced by the earlier vertex that vouched for it.
     """
-    n = g.n
-    if sorted(order) != list(range(n)):
+    if sorted(order) != list(range(g.n)):
         raise ValueError("order is not a permutation of the vertex set")
+    return _permutation_to_set(g, order)
+
+
+def _permutation_to_set(g: Graph, order: list[int]) -> VertexSet:
+    """``permutation_to_set`` for an order known to be a permutation."""
     adj = g.adj
     unplaced = g.full_mask
     skipped = 0

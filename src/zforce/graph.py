@@ -155,25 +155,59 @@ class Graph:
 
     @cached_property
     def girth(self) -> int | None:
-        """Length of a shortest cycle, or None for forests (cached)."""
-        return None if self.shortest_cycle is None else len(self.shortest_cycle)
+        """Length of a shortest cycle, or None for forests (cached).
+
+        A breadth-first search from each root in turn, with its layers
+        kept as bitmasks and confined to the vertices not yet used as
+        roots: a shortest cycle lies there when rooted at its least
+        vertex.  At depth d an edge inside the frontier closes a cycle of
+        at most 2d + 1, and a vertex reached from two frontier vertices
+        one of at most 2d + 2 (each is a closed walk through the root
+        whose tree paths part at some vertex).  Rooted on a shortest
+        cycle, the search meets that cycle's length at its antipode, so
+        the least bound over all roots is the girth.  A root stops once
+        its next bound, 2d + 1, cannot beat the best so far.
+        """
+        adj = self.adj
+        best = self.n + 1  # longer than any cycle
+        allowed = self.full_mask
+        for root in range(self.n):
+            seen = 1 << root
+            allowed ^= seen
+            if (adj[root] & allowed).bit_count() < 2:
+                continue  # no cycle through root in what is left
+            frontier = seen
+            depth = 0
+            while frontier and 2 * depth + 1 < best:
+                once = twice = inner = 0
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    row = adj[low.bit_length() - 1]
+                    inner |= row & frontier
+                    reach = row & allowed & ~seen
+                    twice |= once & reach
+                    once |= reach
+                if inner or twice:  # at most best, as 2 * depth + 1 < best
+                    best = 2 * depth + (1 if inner else 2)
+                    break
+                seen |= once
+                frontier = once
+                depth += 1
+        return None if best > self.n else best
 
     @cached_property
     def shortest_cycle(self) -> tuple[int, ...] | None:
         """A shortest cycle as a vertex tuple, or None for forests (cached).
 
-        Runs a BFS from every vertex; any non-tree edge between explored
-        vertices closes a walk of length dist[u] + dist[w] + 1 through the
-        root, which always contains a cycle at most that long.  Rooting at a
-        vertex of a shortest cycle makes the estimate exact, so the minimum
-        over all roots is the girth.  The walk is recorded whenever it
-        improves on the best so far; once its length equals the girth, the
-        two root paths meet only at the root (a shared vertex would leave a
-        shorter cycle), so the walk is a cycle.  Among shortest cycles the
-        first one met from the smallest root is kept.
+        Knowing the girth, runs a BFS from each root in turn until a
+        non-tree edge closes a walk of that length whose two root paths
+        meet only at the root; that walk is the cycle.  Among shortest
+        cycles the first one met from the smallest root is kept.
         """
-        best: int | None = None
-        cycle: list[int] | None = None
+        target = self.girth
+        if target is None:
+            return None
         neighbors = self.neighbors
         for root in range(self.n):
             dist = [-1] * self.n
@@ -183,20 +217,19 @@ class Graph:
             while queue:
                 nxt = []
                 for v in queue:
-                    if best is not None and 2 * dist[v] >= best:
+                    if 2 * dist[v] >= target:
                         continue
                     for u in neighbors[v]:
                         if dist[u] == -1:
                             dist[u] = dist[v] + 1
                             parent[u] = v
                             nxt.append(u)
-                        elif parent[v] != u and parent[u] != v:
-                            cand = dist[v] + dist[u] + 1
-                            if best is None or cand < best:
-                                best = cand
-                                cycle = _root_path(parent, v)[::-1] + _root_path(parent, u)[:-1]
+                        elif parent[v] != u and parent[u] != v and dist[v] + dist[u] + 1 == target:
+                            left, right = _root_path(parent, v), _root_path(parent, u)
+                            if len(set(left) & set(right)) == 1:  # meet only at the root
+                                return tuple(left[::-1] + right[:-1])
                 queue = nxt
-        return None if cycle is None else tuple(cycle)
+        raise AssertionError("shortest cycle not reconstructed")
 
 
 def reachable(g: Graph, start: int, within: VertexSet | None = None) -> VertexSet:
@@ -249,7 +282,8 @@ def shortest_cycle(g: Graph) -> list[int] | None:
     """A shortest cycle as a vertex list, or None for forests.
 
     Deterministic: among shortest cycles the first one met from the
-    smallest root is returned.  Found by the same cached BFS as the girth.
+    smallest root is returned.  Computed on first request, from the
+    girth, and cached on the graph.
     """
     cyc = g.shortest_cycle
     return None if cyc is None else list(cyc)

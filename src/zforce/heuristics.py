@@ -19,7 +19,6 @@ guarantee:
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -31,11 +30,11 @@ from .families import ExceptionalGraph, exceptional_tag
 from .forcing import (
     ForcingTrace,
     _check_subset,
+    _permutation_to_set,
     closure,
     closure_core,
     closure_mask,
     is_zero_forcing_set,
-    permutation_to_set,
 )
 from .graph import Graph, VertexSet, bit_list, bits, girth, is_connected, mask_of, reachable, shortest_cycle
 from .ratmath import (
@@ -360,7 +359,7 @@ def random_zfs(g: Graph, trials: int, seed: int = 0) -> HeuristicResult:
     for t in range(trials):
         order = base[:]
         _trial_rng(seed, t).shuffle(order)
-        z = permutation_to_set(g, order)
+        z = _permutation_to_set(g, order)  # a shuffled range: no check needed
         size = z.bit_count()
         total += size
         if best_key is not None and size > best_key[0]:
@@ -399,12 +398,36 @@ def vertex_probability(g: Graph, u: int) -> Fraction:
         raise ValueError("inclusion-exclusion limited to degree <= 20")
     if (g.girth or 5) >= 5:
         return _probability_from_degrees(tuple(sorted(g.degrees[v] for v in nbrs)))
-    closed = [g.closed_neighborhood(v) for v in nbrs]
-    unions = [0] * (1 << d)
-    for s in range(1, 1 << d):
-        low = s & -s
-        unions[s] = unions[s ^ low] | closed[low.bit_length() - 1]
-    return _probability_from_signature(_signature([(m | 1 << u).bit_count() for m in unions]))
+    return _probability_from_signature(_signature(_union_sizes(g, u)))
+
+
+def _union_sizes(g: Graph, u: int) -> tuple[int, ...]:
+    """|{u} + N[I]| for each subset I of u's neighbors, indexed by subset."""
+    adj = g.adj
+    unions = [1 << u]
+    for v in g.neighbors[u]:
+        closed = adj[v] | 1 << v
+        unions += [m | closed for m in unions]
+    return tuple([m.bit_count() for m in unions])
+
+
+def probability_classes(g: Graph) -> list[tuple[int, int]]:
+    """(least vertex, vertex count) for each class of vertices that share
+    what ``vertex_probability`` depends on, and so its value, in vertex
+    order: the sorted neighbor degrees at girth >= 5 or on a forest, the
+    union sizes otherwise."""
+    if g.max_degree() > 20:
+        raise ValueError("inclusion-exclusion limited to degree <= 20")
+    if (g.girth or 5) >= 5:
+        degrees = g.degrees
+        keys = [tuple(sorted([degrees[v] for v in nbrs])) for nbrs in g.neighbors]
+    else:
+        keys = [_union_sizes(g, u) for u in range(g.n)]
+    classes: dict[tuple[int, ...], list[int]] = {}
+    for u, key in enumerate(keys):
+        entry = classes.setdefault(key, [u, 0])
+        entry[1] += 1
+    return [(u, count) for u, count in classes.values()]
 
 
 def _signature(sizes: list[int]) -> tuple[tuple[int, int], ...]:
@@ -433,18 +456,11 @@ def expected_size(g: Graph) -> Fraction:
     """Exact expected size of the random-order zero forcing set.
 
     This double sum is itself an upper bound for the zero forcing
-    number, by the first moment principle.  At girth >= 5 or on a forest
-    a vertex's probability depends only on its sorted neighbor degrees,
-    so the vertices are counted per degree key and each key's
-    probability is added once, times its count.
+    number, by the first moment principle.  Vertices sharing the key of
+    ``vertex_probability`` are counted together, and each class adds its
+    probability once, times its size.
     """
-    if (g.girth or 5) < 5:
-        return sum((vertex_probability(g, u) for u in range(g.n)), Fraction(0))
-    if g.max_degree() > 20:
-        raise ValueError("inclusion-exclusion limited to degree <= 20")
-    degrees = g.degrees
-    counts = Counter(tuple(sorted([degrees[v] for v in nbrs])) for nbrs in g.neighbors)
-    return sum((count * _probability_from_degrees(key) for key, count in counts.items()),
+    return sum((count * vertex_probability(g, u) for u, count in probability_classes(g)),
                Fraction(0))
 
 
@@ -581,8 +597,13 @@ def find_extension_subgraph(g: Graph, f: VertexSet) -> ExtensionSubgraph:
     r = g.full_mask ^ f
     if not any(g.degree(v) >= 2 for v in bits(r)):
         raise ValueError("the unfilled region has no vertex of degree >= 2")
+    return _extension_subgraph(g, f, boundary)
 
-    best = _least_pattern(g, f, boundary, _order_cap(n))
+
+def _extension_subgraph(g: Graph, f: VertexSet, boundary: VertexSet) -> ExtensionSubgraph:
+    """``find_extension_subgraph`` past its checks, given the filled
+    vertices of f with two or more unfilled neighbors."""
+    best = _least_pattern(g, f, boundary, _order_cap(g.n))
     if best is None:
         raise AssertionError("no extension subgraph within the order cap")
     kind, path, cyc = best
@@ -679,9 +700,14 @@ def subcubic_girth5_zfs(g: Graph) -> HeuristicResult:
     z = g.closed_neighborhood(v) ^ (1 << u)
     adj = g.adj
     filled, boundary = closure_core(adj, z, z)
+    if reachable(g, v, filled) != filled:
+        raise AssertionError("the first closure is disconnected")
+    # Each closure is checked connected as it is made, and the loop runs
+    # while the unfilled region has a vertex of degree >= 2; with the
+    # checks on g above, that is every precondition of the pattern search.
     branching = mask_of([w for w in range(n) if g.degree(w) >= 2])
     while branching & ~filled:
-        pattern = find_extension_subgraph(g, filled)
+        pattern = _extension_subgraph(g, filled, boundary)
         add = _augmentation(g, filled, pattern)
         if add & filled:
             raise AssertionError("augmentation re-added filled vertices")

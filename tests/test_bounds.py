@@ -209,12 +209,28 @@ def test_regular_girth5_entry():
 def test_cubic_trianglefree_entry(cubic_tf_corpus):
     k33 = upper_cubic_trianglefree(zf.complete_bipartite(3, 3))
     assert not k33.applicable
+    petersen_edges = zf.generate("petersen").edges()
+    k33_and_petersen = zf.Graph.from_edges(
+        16, zf.complete_bipartite(3, 3).edges() + [(u + 6, v + 6) for u, v in petersen_edges])
+    assert upper_cubic_trianglefree(k33_and_petersen).reason == "a component is K_3,3"
     pet = upper_cubic_trianglefree(zf.generate("petersen"))
     assert pet.applicable and pet.value == Fraction(81, 14)
     for g in cubic_tf_corpus[:10]:
         entry = upper_cubic_trianglefree(g)
         assert entry.applicable
         assert entry.value == zf.expected_size(g)
+
+
+def test_type_census_matches_the_per_vertex_definitions(cubic_tf_corpus, cubic_g5_corpus):
+    # one vertex classified per key must give every vertex's type
+    large = [zf.random_regular(n, 3, n, min_girth=4) for n in range(30, 201, 10)]
+    assert sum(zf.girth(g) == 4 for g in large) >= 10
+    for g in cubic_tf_corpus + cubic_g5_corpus + large:
+        types = [classify_vertex(g, u) for u in range(g.n)]
+        assert zf.classify_counts(g) == {i: sum(t.index == i for t in types)
+                                         for i in TYPE_PROBABILITIES}
+        per_vertex = sum((t.probability for t in types), Fraction(0))
+        assert upper_cubic_trianglefree(g).value == per_vertex
 
 
 def test_report_invariants_on_named(named_graphs):

@@ -197,6 +197,19 @@ def test_verify_reports_malformed_lines(tmp_path, capsys):
     assert rows[-1]["parse_errors"] == 1
 
 
+def test_verify_output_is_byte_identical_on_the_fixed_batch(capsys):
+    # tests/data/verify_batch.g6: the first 40 graphs of the random corpus,
+    # 8 cubic triangle-free and 6 cubic girth-5 corpus graphs, the named
+    # graphs, G(n, 3/n) and random cubic girth >= 4 graphs for n = 30..190
+    # step 20, the first and last construct-pool graphs, a header line, a
+    # malformed header line and a malformed line.  The expected output is
+    # kept byte for byte: a change to it must be stated on purpose.
+    data = Path(__file__).resolve().parent / "data"
+    code, out, _ = run(capsys, "verify", str(data / "verify_batch.g6"))
+    assert code == 2  # the two malformed lines
+    assert out == (data / "verify_batch.jsonl").read_text()
+
+
 def test_file_and_stdin_sources(tmp_path, capsys, monkeypatch):
     src = tmp_path / "g.el"
     src.write_text("3\n0 1\n1 2\n")

@@ -4,6 +4,7 @@ import pytest
 
 import zforce as zf
 from zforce.codec import Graph6Error, looks_like_graph6, parse_edge_list, parse_graph6, to_graph6
+from zforce.graph import Graph, bits
 
 
 def reference_graph6(n: int, edges) -> str:
@@ -17,6 +18,54 @@ def reference_graph6(n: int, edges) -> str:
         stream += "0"
     chunks = [chr(int(stream[i:i + 6], 2) + 63) for i in range(0, len(stream), 6)]
     return chr(n + 63) + "".join(chunks)
+
+
+def reference_parse_graph6(text: str) -> Graph:
+    """The per-byte decoder the table-driven one replaced: one ``format``
+    per data byte, one reversed slice per column.  Its error offsets count
+    from the start of ``text``, leading whitespace and header included."""
+    s = text.strip()
+    skip = len(text) - len(text.lstrip())
+    if s.startswith(">>graph6<<"):
+        s = s[len(">>graph6<<"):]
+        skip += len(">>graph6<<")
+    if not s:
+        raise Graph6Error("empty input", skip)
+    for i, c in enumerate(s):
+        if not 63 <= ord(c) <= 126:
+            raise Graph6Error(f"byte {ord(c)!r} outside graph6 range 63..126", skip + i)
+    if s[0] != "~":
+        n = ord(s[0]) - 63
+        body = 1
+    elif len(s) >= 2 and s[1] != "~":
+        if len(s) < 4:
+            raise Graph6Error("truncated 3-byte length header", skip + len(s))
+        n = 0
+        for i in range(1, 4):
+            n = n << 6 | (ord(s[i]) - 63)
+        body = 4
+    else:
+        raise Graph6Error("length headers beyond 3 bytes are not supported", skip)
+    if n < 1:
+        raise Graph6Error("graph6 order must be at least 1", skip)
+    nbits = n * (n - 1) // 2
+    need = (nbits + 5) // 6
+    if len(s) - body < need:
+        raise Graph6Error(f"need {need} data bytes, found {len(s) - body}", skip + len(s))
+    if len(s) - body > need:
+        raise Graph6Error("trailing garbage after graph data", skip + body + need)
+    stream = "".join(format(ord(c) - 63, "06b") for c in s[body:])
+    if "1" in stream[nbits:]:
+        raise Graph6Error("nonzero padding bits", skip + body + need - 1)
+    rows = [0] * n
+    pos = 0
+    for v in range(1, n):
+        col = int(stream[pos:pos + v][::-1], 2)
+        pos += v
+        rows[v] |= col
+        for u in bits(col):
+            rows[u] |= 1 << v
+    return Graph(n, tuple(rows))
 
 
 def test_single_vertex_is_at_sign():
@@ -71,6 +120,15 @@ def test_errors_carry_byte_offsets():
         parse_graph6("C~~~")
     with pytest.raises(Graph6Error, match="padding"):
         parse_graph6("D?A")  # nonzero bits beyond the triangle
+
+
+def test_error_offsets_count_the_header_and_leading_whitespace():
+    for text, offset in ((">>graph6<<A!", 11), ("  A!", 3), ("A!", 1),
+                         (" >>graph6<< ", 11), ("\t>>graph6<<C~~~", 13), (" D?A", 3)):
+        with pytest.raises(Graph6Error) as exc:
+            parse_graph6(text)
+        assert exc.value.offset == offset, text
+        assert str(exc.value).endswith(f"(byte offset {offset})")
 
 
 def test_edge_list_with_and_without_order_line():

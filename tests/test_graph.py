@@ -1,9 +1,14 @@
 """Graph type, statistics, and girth."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 import zforce as zf
 from zforce.graph import Graph, bit_list, bits, mask_of, reachable
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_mask_helpers_roundtrip():
@@ -176,7 +181,15 @@ def shortest_cycle_reference(g: Graph):
     raise AssertionError("shortest cycle not reconstructed")
 
 
+def construct_pool() -> list[Graph]:
+    """The 126 cubic girth-5 graphs (n = 36..100) of the benchmark's construct pool."""
+    pool = json.loads((ROOT / "perfbench" / "data" / "construct.json").read_text())
+    return [zf.parse_graph6(entry["graph6"]) for entry in pool["graphs"]]
+
+
 def test_shortest_cycle_matches_the_two_pass_search(random_corpus, cubic_tf_corpus,
                                                     cubic_g5_corpus, named_graphs):
-    for g in random_corpus + cubic_tf_corpus + cubic_g5_corpus + list(named_graphs.values()):
+    sparse = [zf.random_gnp(n, 3 / n, n) for n in range(30, 201, 10)]
+    for g in (random_corpus + cubic_tf_corpus + cubic_g5_corpus + list(named_graphs.values())
+              + construct_pool() + sparse):
         assert zf.shortest_cycle(g) == shortest_cycle_reference(g)

@@ -302,11 +302,14 @@ def test_expected_size_is_upper_bound(random_corpus, exact_z):
 
 
 def test_expected_size_is_the_sum_of_vertex_probabilities(random_corpus, cubic_g5_corpus):
-    # grouped by degree key at girth >= 5 and on forests, per vertex otherwise
+    # one probability per key: sorted neighbor degrees at girth >= 5 and on
+    # forests, the union sizes otherwise
     trees = [zf.path(7), zf.complete_bipartite(1, 5),
              zf.Graph.from_edges(7, [(0, 1), (0, 2), (0, 3), (3, 4), (4, 5), (5, 6)])]
     pruned = [zf.Graph.from_edges(g.n, g.edges()[::2] + g.edges()[1::4]) for g in cubic_g5_corpus]
-    for g in random_corpus[:100] + cubic_g5_corpus + trees + pruned:
+    # vertices 3 and 5 share their sorted union sizes but not their signature
+    mixed = [zf.parse_graph6(r"Hiq\v^R")]
+    for g in random_corpus[:100] + cubic_g5_corpus + trees + pruned + mixed:
         per_vertex = sum((zf.vertex_probability(g, u) for u in range(g.n)), Fraction(0))
         assert zf.expected_size(g) == per_vertex
 

@@ -1,7 +1,8 @@
 """Property tests: the exact solver and its budget intervals against the
 brute force oracle, the random-order set against its definition, the
-graph6 round trip, the closure laws, and the shortcuts of the construct
-path against the direct computations they skip."""
+graph6 round trip and the decoder against the per-byte reference, the
+girth against the least edge detour, the closure laws, and the shortcuts
+of the construct path against the direct computations they skip."""
 
 import random
 from fractions import Fraction
@@ -13,6 +14,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 import zforce as zf  # noqa: E402
+from test_codec import reference_parse_graph6  # noqa: E402
+from test_graph import girth_oracle  # noqa: E402
 from test_heuristics import pattern_candidates  # noqa: E402
 from zforce.heuristics import (  # noqa: E402
     _augmentation,
@@ -94,6 +97,65 @@ def test_permutation_to_set_is_the_last_placed_neighbor_rule_and_forces(case):
 @given(sparse_graphs())
 def test_graph6_round_trip(g):
     assert zf.parse_graph6(zf.to_graph6(g)) == g
+
+
+def decoded(parse, text: str):
+    """The graph, or the error message and offset, that ``parse`` gives."""
+    try:
+        return parse(text)
+    except zf.Graph6Error as exc:
+        return str(exc), exc.offset
+
+
+@st.composite
+def graph6_like_text(draw) -> str:
+    """A graph6 code with a few bytes replaced, inserted or deleted, behind
+    an optional header and whitespace."""
+    n = draw(st.integers(min_value=1, max_value=70))
+    p = draw(st.sampled_from([0.0, 0.1, 0.5]))
+    chars = list(zf.to_graph6(zf.random_gnp(n, p, draw(st.integers(0, 999)))))
+    alphabet = [chr(b) for b in range(63, 127)] + [" ", "\t", "!", "\x7f", "\xe9", ">"]
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        i = draw(st.integers(min_value=0, max_value=len(chars)))
+        edit = draw(st.sampled_from(["replace", "insert", "delete", "last"]))
+        if edit == "insert":
+            chars.insert(i, draw(st.sampled_from(alphabet)))
+        elif chars:
+            i = len(chars) - 1 if edit == "last" else min(i, len(chars) - 1)  # last: the padding byte
+            if edit == "delete":
+                del chars[i]
+            else:
+                chars[i] = draw(st.sampled_from(alphabet))
+    head = draw(st.sampled_from(["", " ", ">>graph6<<", "\t>>graph6<<", ">>graph6<< "]))
+    return head + "".join(chars) + draw(st.sampled_from(["", "\n", "  "]))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(graph6_like_text(), st.text(alphabet="?@AB_~ !>", max_size=12)))
+def test_decoder_matches_the_per_byte_reference(text):
+    assert decoded(zf.parse_graph6, text) == decoded(reference_parse_graph6, text)
+
+
+@st.composite
+def forests_with_chords(draw) -> zf.Graph:
+    """Up to 40 vertices: each joins an earlier one or starts a new tree,
+    then a few chords; shrinks towards forests and disconnected graphs."""
+    n = draw(st.integers(min_value=1, max_value=40))
+    edges = set()
+    for v in range(1, n):
+        parent = draw(st.integers(min_value=-1, max_value=v - 1))
+        if parent >= 0:
+            edges.add((parent, v))
+    ends = st.integers(min_value=0, max_value=n - 1)
+    chords = draw(st.lists(st.tuples(ends, ends), max_size=n))
+    edges |= {(min(u, v), max(u, v)) for u, v in chords if u != v}
+    return zf.Graph.from_edges(n, sorted(edges))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(forests_with_chords(), small_graphs(max_n=12)))
+def test_girth_is_the_least_edge_detour(g):
+    assert zf.girth(g) == girth_oracle(g)
 
 
 @st.composite
