@@ -1,7 +1,9 @@
 """Seeds, greedy extension, randomized sets, extension patterns."""
 
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -497,3 +499,31 @@ def test_subcubic_zfs_preconditions():
         subcubic_girth5_zfs(zf.complete(4))  # girth 3
     with pytest.raises(ValueError):
         subcubic_girth5_zfs(zf.complete_bipartite(3, 3))  # girth 4
+
+
+# -- outputs on a fixed batch ------------------------------------------------
+
+
+def construct_line(g: zf.Graph) -> str:
+    """The greedy, subcubic (outside the exceptional graphs) and random-order
+    sets with their traces, and the exact expected size, as one JSON line."""
+    record = {"greedy": greedy_ratio_zfs(g).to_json_dict()}
+    if zf.exceptional_tag(g) is None:
+        record["subcubic"] = subcubic_girth5_zfs(g).to_json_dict()
+    record["random"] = zf.random_zfs(g, 32, 0).to_json_dict()
+    e = zf.expected_size(g)
+    record["expected_size"] = [e.numerator, e.denominator]
+    return json.dumps(record) + "\n"
+
+
+def test_construct_output_is_byte_identical_on_the_fixed_batch():
+    # tests/data/construct_batch.g6: the first three construct-pool graphs of
+    # each order 36..100 step 8, the 30 graphs of the cubic girth-5 corpus,
+    # then K4, K3,3, K2,3, g1, g2 and the subdivided K3,3.  The expected
+    # lines are kept byte for byte: a change to them must be stated on purpose.
+    data = Path(__file__).resolve().parent / "data"
+    codes = (data / "construct_batch.g6").read_text().split()
+    expected = (data / "construct_batch.jsonl").read_text().splitlines(keepends=True)
+    assert len(codes) == len(expected) == 63
+    for code, want in zip(codes, expected):
+        assert construct_line(zf.parse_graph6(code)) == want, code
