@@ -151,30 +151,22 @@ def verify_trace(g: Graph, trace: ForcingTrace) -> bool:
 def permutation_to_set(g: Graph, order: list[int]) -> VertexSet:
     """Zero forcing set induced by a linear order of the vertices.
 
-    A vertex is skipped (left out of the set) iff it is the unique
-    not-yet-placed neighbor of some earlier vertex, i.e. iff it is the
-    last-placed neighbor of an earlier vertex; one pass over the order
-    with a mask of the unplaced vertices decides this.  The result is
+    A vertex is skipped (left out of the set) iff it is the last-placed
+    neighbor of a vertex placed before it.  One sweep from the last
+    position back to the first decides this.  With ``seen`` the vertices
+    after w together with their neighbors, w is skipped iff
+    ``adj[w] & ~seen`` is non-empty: such a neighbor v is placed before w
+    and has no neighbor after w, so w is its last-placed neighbor; and
+    conversely.  That is O(1) bit operations per vertex.  The result is
     always a zero forcing set: replaying the order left to right, each
     skipped vertex is forced by the earlier vertex that vouched for it.
     """
     if sorted(order) != list(range(g.n)):
         raise ValueError("order is not a permutation of the vertex set")
-    return _permutation_to_set(g, order)
-
-
-def _permutation_to_set(g: Graph, order: list[int]) -> VertexSet:
-    """``permutation_to_set`` for an order known to be a permutation."""
     adj = g.adj
-    unplaced = g.full_mask
-    skipped = 0
-    for w in order:
-        unplaced ^= 1 << w
-        earlier = adj[w] & ~unplaced
-        while earlier:  # w was the last neighbor placed of some earlier one?
-            low = earlier & -earlier
-            if not adj[low.bit_length() - 1] & unplaced:
-                skipped |= 1 << w
-                break
-            earlier ^= low
+    seen = skipped = 0
+    for w in reversed(order):
+        if adj[w] & ~seen:
+            skipped |= 1 << w
+        seen |= adj[w] | 1 << w
     return g.full_mask ^ skipped

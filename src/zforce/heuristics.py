@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
 from random import Random
 
@@ -30,7 +30,6 @@ from .families import ExceptionalGraph, exceptional_tag
 from .forcing import (
     ForcingTrace,
     _check_subset,
-    _permutation_to_set,
     closure,
     closure_core,
     closure_mask,
@@ -46,14 +45,23 @@ from .ratmath import (
 
 @dataclass(frozen=True)
 class HeuristicResult:
-    """A zero forcing set together with the guarantee its method promises."""
+    """A zero forcing set together with the guarantee its method promises.
+
+    ``trace`` certifies that ``zfs`` forces ``graph``; it is computed the
+    first time it is read, so a caller that wants only the set never
+    runs the traced closure.
+    """
 
     zfs: VertexSet
     method: str
     bound_claim: Fraction
-    trace: ForcingTrace
+    graph: Graph = field(repr=False)
     sample_mean: Fraction | None = None
     exceptional: ExceptionalGraph | None = None
+
+    @cached_property
+    def trace(self) -> ForcingTrace:
+        return closure(self.graph, self.zfs)
 
     @property
     def size(self) -> int:
@@ -295,7 +303,7 @@ def greedy_extend(g: Graph, cert: SeedCertificate) -> HeuristicResult:
         zfs=z,
         method="greedy",
         bound_claim=Fraction((d - 2) * g.n, d - 1),
-        trace=closure(g, z),
+        graph=g,
     )
 
 
@@ -326,7 +334,7 @@ def greedy_ratio_zfs(g: Graph) -> HeuristicResult:
         zfs=witness,
         method="exceptional",
         bound_claim=Fraction(witness.bit_count()),
-        trace=closure(g, witness),
+        graph=g,
         exceptional=found,
     )
 
@@ -344,22 +352,43 @@ def random_zfs(g: Graph, trials: int, seed: int = 0) -> HeuristicResult:
     """Best zero forcing set among ``trials`` random vertex orders.
 
     Each trial shuffles the vertices with its own deterministic
-    substream of ``seed`` and keeps the set induced by the order; the
-    smallest result wins, ties broken by lexicographic vertex list, so
-    the outcome is reproducible regardless of evaluation order.  The
-    sample mean of the trial sizes is recorded for comparison against
-    the exact expectation.
+    substream of ``seed`` and keeps the set ``permutation_to_set``
+    induces from the order; the smallest result wins, ties broken by
+    lexicographic vertex list, so the outcome is reproducible regardless
+    of evaluation order.  The sample mean of the trial sizes is recorded
+    for comparison against the exact expectation.
+
+    The shuffle is ``Random.shuffle``'s Fisher-Yates loop, drawing
+    exactly as it does, with the set rule's backward sweep fused in:
+    the loop fixes the positions from the last one back, the order the
+    sweep consumes them, so no order is materialised for a second pass.
+    The first position is never skipped and needs no test.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     best: VertexSet | None = None
     best_key = None
     total = 0
+    adj, full = g.adj, g.full_mask
+    closed = [row | 1 << w for w, row in enumerate(adj)]
     base = list(range(g.n))
+    # Random._randbelow(i + 1): getrandbits(k) with k = (i + 1).bit_length(),
+    # drawn again while the result is above i.
+    draws = [(i, (i + 1).bit_length()) for i in range(g.n - 1, 0, -1)]
     for t in range(trials):
+        getrandbits = _trial_rng(seed, t).getrandbits
         order = base[:]
-        _trial_rng(seed, t).shuffle(order)
-        z = _permutation_to_set(g, order)  # a shuffled range: no check needed
+        seen = skipped = 0  # seen: the vertices after w and their neighbors
+        for i, k in draws:
+            j = getrandbits(k)
+            while j > i:
+                j = getrandbits(k)
+            w = order[j]
+            order[j] = order[i]  # position i now holds w for good
+            if adj[w] & ~seen:
+                skipped |= 1 << w
+            seen |= closed[w]
+        z = full ^ skipped
         size = z.bit_count()
         total += size
         if best_key is not None and size > best_key[0]:
@@ -376,7 +405,7 @@ def random_zfs(g: Graph, trials: int, seed: int = 0) -> HeuristicResult:
         zfs=best,
         method="random",
         bound_claim=claim,
-        trace=closure(g, best),
+        graph=g,
         sample_mean=Fraction(total, trials),
     )
 
@@ -735,5 +764,5 @@ def subcubic_girth5_zfs(g: Graph) -> HeuristicResult:
         zfs=z,
         method="subcubic",
         bound_claim=subcubic_girth5_value(n),
-        trace=closure(g, z),
+        graph=g,
     )

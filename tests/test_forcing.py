@@ -186,12 +186,32 @@ def test_permutation_rule_rejects_non_permutation():
         permutation_to_set(zf.path(3), [0, 1, 1])
 
 
+def with_isolated_vertex(g: zf.Graph, at: int) -> zf.Graph:
+    """g with a new isolated vertex labelled ``at``; later labels move up."""
+    def shift(v: int) -> int:
+        return v + (v >= at)
+    return zf.Graph.from_edges(g.n + 1, [(shift(u), shift(v)) for u, v in g.edges()])
+
+
 def test_permutation_rule_matches_quadratic_oracle(random_corpus):
     rng = random.Random(11)
     for g in random_corpus[:60]:
         order = list(range(g.n))
         rng.shuffle(order)
         assert permutation_to_set(g, order) == quadratic_rule(g, order)
+    # An isolated vertex is nobody's last-placed neighbor, so it is always
+    # kept, wherever it sits in the order.
+    graphs = [zf.Graph(n, (0,) * n) for n in range(1, 5)]
+    graphs.append(with_isolated_vertex(with_isolated_vertex(zf.path(4), 0), 3))
+    graphs += [with_isolated_vertex(g, rng.randrange(g.n + 1)) for g in random_corpus[:60]]
+    for g in graphs:
+        isolated = mask_of(v for v in range(g.n) if not g.adj[v])
+        for _ in range(5):
+            order = list(range(g.n))
+            rng.shuffle(order)
+            z = permutation_to_set(g, order)
+            assert z == quadratic_rule(g, order)
+            assert z & isolated == isolated
 
 
 def test_permutation_sets_always_force_exhaustive_small(random_corpus):

@@ -2,13 +2,15 @@
 
 import json
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import zforce as zf
-from zforce import heuristics
+from test_forcing import with_isolated_vertex
+from zforce import forcing, heuristics
 from zforce.families import ExceptionalGraph
 from zforce.graph import bit_list, bits, mask_of
 from zforce.heuristics import (
@@ -259,7 +261,12 @@ def test_random_zfs_deterministic():
 
 
 def test_random_zfs_keeps_the_least_size_then_vertex_list(random_corpus, cubic_g5_corpus):
-    for g in random_corpus[:40] + cubic_g5_corpus[:5]:
+    # random_zfs draws its orders inline; they must be Random.shuffle's, on
+    # the smallest graphs and around isolated vertices too.  A single trial
+    # leaves no choice, so it pins the first draw of each graph exactly.
+    small = [zf.Graph(1, (0,)), zf.complete(2), zf.Graph(2, (0, 0)),
+             with_isolated_vertex(zf.generate("petersen"), 4)]
+    for g in small + random_corpus[:40] + cubic_g5_corpus[:5]:
         sets = []
         for t in range(32):
             order = list(range(g.n))
@@ -269,6 +276,7 @@ def test_random_zfs_keeps_the_least_size_then_vertex_list(random_corpus, cubic_g
         res = zf.random_zfs(g, trials=32, seed=3)
         assert res.zfs == best
         assert res.sample_mean == Fraction(sum(z.bit_count() for z in sets), 32)
+        assert zf.random_zfs(g, trials=1, seed=3).zfs == sets[0]
 
 
 def test_random_zfs_requires_trials():
@@ -499,6 +507,50 @@ def test_subcubic_zfs_preconditions():
         subcubic_girth5_zfs(zf.complete(4))  # girth 3
     with pytest.raises(ValueError):
         subcubic_girth5_zfs(zf.complete_bipartite(3, 3))  # girth 4
+
+
+# -- traces ------------------------------------------------------------------
+
+
+EXCEPTIONAL_NAMES = ("K4", "K33", "K23", "g1", "g2", "subdivided_k33")
+
+
+def test_traces_certify_every_construction(random_corpus, cubic_tf_corpus, cubic_g5_corpus,
+                                           named_graphs):
+    exceptional = [named_graphs[name] for name in EXCEPTIONAL_NAMES]
+    for g in random_corpus + cubic_tf_corpus + cubic_g5_corpus + exceptional:
+        results = [zf.random_zfs(g, 8, 1)]
+        if zf.is_connected(g):
+            results.append(greedy_ratio_zfs(g))
+        if g in cubic_g5_corpus:
+            results.append(subcubic_girth5_zfs(g))
+        for res in results:
+            trace = res.trace
+            assert trace.initial == res.zfs
+            assert trace.closure == g.full_mask
+            assert zf.verify_trace(g, trace)
+            assert trace == zf.closure(g, res.zfs)
+
+
+def test_constructions_run_the_traced_closure_only_when_read(monkeypatch, named_graphs):
+    real = forcing.closure
+    calls = []
+
+    def counted(g, z):
+        calls.append(z)
+        return real(g, z)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "zforce" and getattr(module, "closure", None) is real:
+            monkeypatch.setattr(module, "closure", counted)
+    pet = zf.generate("petersen")
+    results = [greedy_ratio_zfs(pet), greedy_ratio_zfs(named_graphs["K33"]),
+               subcubic_girth5_zfs(pet), zf.random_zfs(pet, 8, 0)]
+    assert calls == []
+    for res in results:
+        assert res.trace is res.trace  # computed once, then kept
+    assert calls == [res.zfs for res in results]
+    assert "graph" not in repr(results[0])
 
 
 # -- outputs on a fixed batch ------------------------------------------------
