@@ -359,10 +359,9 @@ def random_zfs(g: Graph, trials: int, seed: int = 0) -> HeuristicResult:
     for comparison against the exact expectation.
 
     The shuffle is ``Random.shuffle``'s Fisher-Yates loop, drawing
-    exactly as it does, with the set rule's backward sweep fused in:
-    the loop fixes the positions from the last one back, the order the
-    sweep consumes them, so no order is materialised for a second pass.
-    The first position is never skipped and needs no test.
+    exactly as it does.  It fixes the positions from the last one back,
+    the order in which ``permutation_to_set`` sweeps them, so each vertex
+    is tested as its position is fixed; the first one is never skipped.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -384,7 +383,7 @@ def random_zfs(g: Graph, trials: int, seed: int = 0) -> HeuristicResult:
             while j > i:
                 j = getrandbits(k)
             w = order[j]
-            order[j] = order[i]  # position i now holds w for good
+            order[j] = order[i]  # position i is never read again
             if adj[w] & ~seen:
                 skipped |= 1 << w
             seen |= closed[w]

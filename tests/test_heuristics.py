@@ -512,12 +512,9 @@ def test_subcubic_zfs_preconditions():
 # -- traces ------------------------------------------------------------------
 
 
-EXCEPTIONAL_NAMES = ("K4", "K33", "K23", "g1", "g2", "subdivided_k33")
-
-
 def test_traces_certify_every_construction(random_corpus, cubic_tf_corpus, cubic_g5_corpus,
                                            named_graphs):
-    exceptional = [named_graphs[name] for name in EXCEPTIONAL_NAMES]
+    exceptional = [named_graphs[name] for name in ("K4", "K33", "K23", "g1", "g2", "subdivided_k33")]
     for g in random_corpus + cubic_tf_corpus + cubic_g5_corpus + exceptional:
         results = [zf.random_zfs(g, 8, 1)]
         if zf.is_connected(g):
