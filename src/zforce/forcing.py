@@ -163,6 +163,11 @@ def permutation_to_set(g: Graph, order: list[int]) -> VertexSet:
     """
     if sorted(order) != list(range(g.n)):
         raise ValueError("order is not a permutation of the vertex set")
+    return _permutation_to_set(g, order)
+
+
+def _permutation_to_set(g: Graph, order: list[int]) -> VertexSet:
+    """``permutation_to_set`` for an order known to be a permutation."""
     adj = g.adj
     seen = skipped = 0
     for w in reversed(order):

@@ -34,12 +34,7 @@ def bits(mask: VertexSet) -> Iterator[int]:
 
 def bit_list(mask: VertexSet) -> list[int]:
     """Sorted list of the vertices in a bitmask."""
-    out = []
-    while mask:  # the loop of bits(), inlined: it builds every neighbor row
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
+    return list(bits(mask))
 
 
 @dataclass(frozen=True)

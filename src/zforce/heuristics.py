@@ -30,6 +30,7 @@ from .families import ExceptionalGraph, exceptional_tag
 from .forcing import (
     ForcingTrace,
     _check_subset,
+    _permutation_to_set,
     closure,
     closure_core,
     closure_mask,
@@ -55,7 +56,7 @@ class HeuristicResult:
     zfs: VertexSet
     method: str
     bound_claim: Fraction
-    graph: Graph = field(repr=False)
+    graph: Graph = field(repr=False, kw_only=True)
     sample_mean: Fraction | None = None
     exceptional: ExceptionalGraph | None = None
 
@@ -352,42 +353,31 @@ def random_zfs(g: Graph, trials: int, seed: int = 0) -> HeuristicResult:
     """Best zero forcing set among ``trials`` random vertex orders.
 
     Each trial shuffles the vertices with its own deterministic
-    substream of ``seed`` and keeps the set ``permutation_to_set``
-    induces from the order; the smallest result wins, ties broken by
-    lexicographic vertex list, so the outcome is reproducible regardless
-    of evaluation order.  The sample mean of the trial sizes is recorded
-    for comparison against the exact expectation.
-
-    The shuffle is ``Random.shuffle``'s Fisher-Yates loop, drawing
-    exactly as it does.  It fixes the positions from the last one back,
-    the order in which ``permutation_to_set`` sweeps them, so each vertex
-    is tested as its position is fixed; the first one is never skipped.
+    substream of ``seed`` and keeps the set induced by the order; the
+    smallest result wins, ties broken by lexicographic vertex list, so
+    the outcome is reproducible regardless of evaluation order.  The
+    sample mean of the trial sizes is recorded for comparison against
+    the exact expectation.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     best: VertexSet | None = None
     best_key = None
     total = 0
-    adj, full = g.adj, g.full_mask
-    closed = [row | 1 << w for w, row in enumerate(adj)]
     base = list(range(g.n))
-    # Random._randbelow(i + 1): getrandbits(k) with k = (i + 1).bit_length(),
-    # drawn again while the result is above i.
+    # Random.shuffle's loop, drawing exactly as it does: getrandbits(k) with
+    # k = (i + 1).bit_length(), drawn again while above i.  Inline, with the
+    # bit lengths computed once, it saves a Python call per position.
     draws = [(i, (i + 1).bit_length()) for i in range(g.n - 1, 0, -1)]
     for t in range(trials):
         getrandbits = _trial_rng(seed, t).getrandbits
         order = base[:]
-        seen = skipped = 0  # seen: the vertices after w and their neighbors
         for i, k in draws:
             j = getrandbits(k)
             while j > i:
                 j = getrandbits(k)
-            w = order[j]
-            order[j] = order[i]  # position i is never read again
-            if adj[w] & ~seen:
-                skipped |= 1 << w
-            seen |= closed[w]
-        z = full ^ skipped
+            order[i], order[j] = order[j], order[i]
+        z = _permutation_to_set(g, order)  # a shuffled range: no check needed
         size = z.bit_count()
         total += size
         if best_key is not None and size > best_key[0]:

@@ -548,6 +548,9 @@ def test_constructions_run_the_traced_closure_only_when_read(monkeypatch, named_
         assert res.trace is res.trace  # computed once, then kept
     assert calls == [res.zfs for res in results]
     assert "graph" not in repr(results[0])
+    res = results[0]
+    with pytest.raises(TypeError):  # the graph is keyword-only
+        heuristics.HeuristicResult(res.zfs, res.method, res.bound_claim, res.trace)
 
 
 # -- outputs on a fixed batch ------------------------------------------------
