@@ -53,13 +53,9 @@ def _load_graph(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Gr
     stripped = text.strip()
     if not stripped:
         parser.error("empty graph input")
-    try:
-        if codec.looks_like_graph6(stripped.splitlines()[0]):
-            return codec.parse_graph6(stripped.splitlines()[0])
-        return codec.parse_edge_list(stripped)
-    except ValueError as exc:
-        parser.error(str(exc))
-    raise AssertionError  # pragma: no cover
+    if codec.looks_like_graph6(stripped.splitlines()[0]):
+        return codec.parse_graph6(stripped.splitlines()[0])
+    return codec.parse_edge_list(stripped)
 
 
 def _parse_set(spec: str, g: Graph, parser: argparse.ArgumentParser) -> int:
@@ -99,10 +95,7 @@ def _cmd_closure(args, parser) -> int:
 
 def _cmd_exact(args, parser) -> int:
     g = _load_graph(args, parser)
-    try:
-        res = zero_forcing_number(g, args.budget)
-    except ValueError as exc:
-        parser.error(str(exc))
+    res = zero_forcing_number(g, args.budget)
     if args.quiet:
         print(res.value if res.complete else f"{res.lower}:{res.upper}")
     else:
@@ -119,15 +112,12 @@ def _cmd_exact(args, parser) -> int:
 
 def _cmd_heuristic(args, parser) -> int:
     g = _load_graph(args, parser)
-    try:
-        if args.method == "greedy":
-            res = greedy_ratio_zfs(g)
-        elif args.method == "subcubic":
-            res = subcubic_girth5_zfs(g)
-        else:
-            res = random_zfs(g, args.trials, args.seed)
-    except ValueError as exc:
-        parser.error(str(exc))
+    if args.method == "greedy":
+        res = greedy_ratio_zfs(g)
+    elif args.method == "subcubic":
+        res = subcubic_girth5_zfs(g)
+    else:
+        res = random_zfs(g, args.trials, args.seed)
     if args.quiet:
         print(res.size)
     else:
@@ -144,10 +134,7 @@ def _cmd_bounds(args, parser) -> int:
         if not args.exact:
             parser.error("--budget caps the exact solver; it needs --exact")
     g = _load_graph(args, parser)
-    try:
-        report = bounds_report(g, with_exact=args.exact, budget=args.budget)
-    except ValueError as exc:
-        parser.error(str(exc))
+    report = bounds_report(g, with_exact=args.exact, budget=args.budget)
     if args.quiet:
         print(len(report.violations))
     else:
@@ -210,10 +197,7 @@ def _cmd_verify(args, parser) -> int:
 
 
 def _cmd_gen(args, parser) -> int:
-    try:
-        g = generate(args.family, *args.params)
-    except ValueError as exc:
-        parser.error(str(exc))
+    g = generate(args.family, *args.params)
     if args.format == "graph6":
         print(codec.to_graph6(g))
     elif args.format == "edges":
@@ -225,10 +209,7 @@ def _cmd_gen(args, parser) -> int:
 
 def _cmd_expect(args, parser) -> int:
     g = _load_graph(args, parser)
-    try:
-        value = expected_size(g)
-    except ValueError as exc:
-        parser.error(str(exc))
+    value = expected_size(g)
     if args.quiet:
         print(float(value))
     else:
@@ -302,10 +283,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # Each handler reports usage errors through its own subparser, so
-        # the message carries that subcommand's usage line.
         code = args.func(args, args.parser)
         sys.stdout.flush()
+    except ValueError as exc:
+        # Bad input or parameters, undecodable bytes included: report
+        # through the subcommand's parser, so the message carries its usage.
+        args.parser.error(str(exc))
     except BrokenPipeError:
         # The reader closed the pipe (`zforce ... | head`): stop quietly.
         # Point stdout at devnull so the flush at exit cannot fail again.

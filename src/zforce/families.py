@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import random
 from enum import Enum
-from itertools import combinations, permutations
+from itertools import combinations
 
 from .graph import Graph, bit_list, girth, is_connected, mask_of
 
@@ -212,22 +212,6 @@ def complete_bipartite_parts(g: Graph) -> tuple[int, int] | None:
     return (a, b) if a <= b else (b, a)
 
 
-def is_isomorphic_small(a: Graph, b: Graph) -> bool:
-    """Brute-force isomorphism test, intended for n <= 8."""
-    if a.n != b.n or sorted(a.degrees) != sorted(b.degrees):
-        return False
-    if a.n > 8:
-        raise ValueError("brute-force isomorphism is limited to n <= 8")
-    for perm in permutations(range(a.n)):
-        if all(
-            a.adj[u] >> v & 1 == b.adj[perm[u]] >> perm[v] & 1
-            for u in range(a.n)
-            for v in range(u + 1, a.n)
-        ):
-            return True
-    return False
-
-
 def exceptional_tag(g: Graph) -> ExceptionalGraph | None:
     """Classify g against the exceptional graphs (None otherwise).
 
@@ -243,11 +227,20 @@ def exceptional_tag(g: Graph) -> ExceptionalGraph | None:
         return ExceptionalGraph.BALANCED_BIPARTITE
     if parts == (d - 1, d):
         return ExceptionalGraph.OFFSET_BIPARTITE
-    if g.n == 5 and sorted(g.degrees) == [2, 3, 3, 3, 3] and is_isomorphic_small(g, g1()):
+    # Degrees [2,3,3,3,3] leave complement degrees [2,1,1,1,1] on 3 edges: P3 + K2.
+    if g.n == 5 and sorted(g.degrees) == [2, 3, 3, 3, 3]:
         return ExceptionalGraph.SPORADIC_5
-    if g.n == 7 and g.is_regular() == 4 and is_isomorphic_small(g, g2()):
+    # A 2-regular complement on 7 vertices is C7 or, if disconnected, C3 + C4.
+    if g.n == 7 and g.is_regular() == 4 and not is_connected(g.complement()):
         return ExceptionalGraph.SPORADIC_7
+    # Smoothing the degree-2 vertex must leave K_{3,3}; adjacent neighbors leave 8 edges.
     if (g.n == 7 and sorted(g.degrees) == [2, 3, 3, 3, 3, 3, 3]
-            and is_isomorphic_small(g, subdivided_k33())):
+            and complete_bipartite_parts(_smoothed(g, g.degrees.index(2))) == (3, 3)):
         return ExceptionalGraph.SUBDIVIDED_K33
     return None
+
+
+def _smoothed(g: Graph, w: int) -> Graph:
+    """g with the degree-2 vertex w deleted and its two neighbors joined."""
+    joined = Graph.from_edges(g.n, g.edges() + [g.neighbors[w]])
+    return joined.induced(g.full_mask ^ 1 << w)[0]

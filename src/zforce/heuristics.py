@@ -494,14 +494,11 @@ class ExtensionSubgraph:
     "c": path between two filled vertices, interior unfilled;
     "d": cycle through one filled vertex, rest unfilled;
     "e": path from a filled vertex to a fully unfilled cycle.
-    ``private`` maps pattern vertices to their one neighbor outside the
-    pattern and outside the filled set, where such a neighbor is defined.
     """
 
     kind: str
     path: tuple[int, ...]
     cycle: tuple[int, ...]
-    private: tuple[tuple[int, int], ...] = field(default=())
 
     @property
     def vertex_set(self) -> VertexSet:
@@ -510,9 +507,6 @@ class ExtensionSubgraph:
     @property
     def order(self) -> int:
         return self.vertex_set.bit_count()
-
-    def private_map(self) -> dict[int, int]:
-        return dict(self.private)
 
 
 def _least_pattern(g: Graph, f: VertexSet, boundary: VertexSet, cap_order: int):
@@ -596,8 +590,8 @@ def find_extension_subgraph(g: Graph, f: VertexSet) -> ExtensionSubgraph:
     a connected subcubic graph of girth at least 5, f a closure inducing
     a connected subgraph of order at least 3, and an unfilled vertex of
     degree at least 2.
-    Minimality makes the private neighbors exist wherever the
-    augmentation rules reference them.
+    Minimality gives every vertex the augmentation rules name a private
+    neighbor.
     """
     n = g.n
     if g.max_degree() > 3:
@@ -624,74 +618,49 @@ def _extension_subgraph(g: Graph, f: VertexSet, boundary: VertexSet) -> Extensio
     best = _least_pattern(g, f, boundary, _order_cap(g.n))
     if best is None:
         raise AssertionError("no extension subgraph within the order cap")
-    kind, path, cyc = best
-    return ExtensionSubgraph(kind, path, cyc,
-                             _private_neighbors(g, f, kind, path, cyc))
-
-
-def _pattern_degree(kind: str, path: tuple[int, ...], cyc: tuple[int, ...], v: int) -> int:
-    deg = 0
-    if v in path:
-        i = path.index(v)
-        deg += (1 if i > 0 else 0) + (1 if i < len(path) - 1 else 0)
-    if cyc and v in cyc:
-        deg += 2
-    return deg
-
-
-def _private_neighbors(g: Graph, f: VertexSet, kind: str,
-                       path: tuple[int, ...], cyc: tuple[int, ...]):
-    """(vertex, lone neighbor outside the pattern and the filled set) pairs.
-
-    Recorded wherever such a neighbor exists; minimality of the chosen
-    pattern guarantees existence for every vertex the augmentation rules
-    reference, but not for bystander pattern vertices.
-    """
-    hmask = mask_of(path) | mask_of(cyc)
-    pairs = []
-    for v in sorted(bits(hmask)):
-        outside = g.adj[v] & ~hmask & ~f
-        if f >> v & 1:
-            if outside.bit_count() == 1:
-                pairs.append((v, outside.bit_length() - 1))
-        elif g.degree(v) == 3 and _pattern_degree(kind, path, cyc, v) == 2:
-            if outside.bit_count() == 1:
-                pairs.append((v, outside.bit_length() - 1))
-    return tuple(pairs)
+    return ExtensionSubgraph(*best)
 
 
 def _augmentation(g: Graph, f: VertexSet, h: ExtensionSubgraph) -> VertexSet:
     """Vertices to add for one extension step, by pattern kind.
 
     Each rule fills the pattern by a forcing chain and spills onto the
-    recorded private neighbors, gaining at least 2 * cost + 1 vertices.
+    private neighbors of the vertices it names, gaining at least
+    2 * cost + 1 vertices.  A vertex's private neighbor is its one
+    neighbor outside the pattern and outside f.  The named vertices are
+    path[0], which is filled, and interior path or cycle vertices, which
+    have degree 3 because the search extends paths only through them.
     """
-    p = h.private_map()
-    path, cyc = h.path, h.cycle
-    try:
-        if h.kind == "a":
-            vk, prev = path[-1], path[-2]
-            u = (g.adj[vk] ^ (1 << prev)).bit_length() - 1  # the other neighbor
-            if f >> u & 1:
-                if len(path) != 2:
-                    raise AssertionError("filled-capped pattern should have one edge")
-                return 1 << vk
-            return mask_of(p[v] for v in path[:-1])
-        if h.kind == "b":
-            if len(path) == 3:
-                return 1 << path[-1]
-            return 1 << path[-1] | mask_of(p[v] for v in path[:-3])
-        if h.kind == "c":
-            return mask_of(p[v] for v in path[:-2])
-        if h.kind == "d":
-            return 1 << cyc[-1] | mask_of(p[v] for v in cyc[1:-2])
-        if h.kind == "e":
-            return (mask_of(p[v] for v in path[:-1])
-                    | 1 << cyc[-1] | mask_of(p[v] for v in cyc[1:-2]))
-    except KeyError as exc:
-        raise AssertionError(
-            f"pattern {h.kind} lacks the private neighbor of vertex {exc}"
-        ) from None
+    adj, path, cyc = g.adj, h.path, h.cycle
+    spill = ~h.vertex_set & ~f
+
+    def private(vertices) -> VertexSet:
+        out = 0
+        for v in vertices:
+            p = adj[v] & spill
+            if not p or p & (p - 1):
+                raise AssertionError(f"pattern {h.kind} lacks the private neighbor of vertex {v}")
+            out |= p
+        return out
+
+    if h.kind == "a":
+        vk, prev = path[-1], path[-2]
+        u = (adj[vk] ^ (1 << prev)).bit_length() - 1  # the other neighbor
+        if f >> u & 1:
+            if len(path) != 2:
+                raise AssertionError("filled-capped pattern should have one edge")
+            return 1 << vk
+        return private(path[:-1])
+    if h.kind == "b":
+        if len(path) == 3:
+            return 1 << path[-1]
+        return 1 << path[-1] | private(path[:-3])
+    if h.kind == "c":
+        return private(path[:-2])
+    if h.kind == "d":
+        return 1 << cyc[-1] | private(cyc[1:-2])
+    if h.kind == "e":
+        return private(path[:-1]) | 1 << cyc[-1] | private(cyc[1:-2])
     raise AssertionError(f"unknown pattern kind {h.kind!r}")
 
 

@@ -8,6 +8,7 @@ a canonical form: colour refinement, then the least adjacency code over
 every order that keeps the refined colour classes in place.
 """
 
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -79,7 +80,7 @@ def test_census_counts_match_oeis(levels, census):
 
 
 def test_census_has_no_proven_violation_and_theorem_1_iff(census):
-    exceptions = 0
+    tags = Counter()
     for g in census:
         report = zf.bounds_report(g, with_exact=True)
         assert report.exact.complete
@@ -87,11 +88,14 @@ def test_census_has_no_proven_violation_and_theorem_1_iff(census):
         d, n = g.max_degree(), g.n
         if d >= 3:
             above = Fraction(report.exact.value) > Fraction((d - 2) * n, d - 1)
-            tagged = zf.exceptional_tag(g) is not None
-            assert above == tagged, zf.to_graph6(g)
-            exceptions += tagged
-    # K4..K7, K_{2,3}, K_{3,4}, K_{3,3}, g1, g2 and the subdivided K_{3,3}
-    assert exceptions == 10
+            tag = zf.exceptional_tag(g)
+            assert above == (tag is not None), zf.to_graph6(g)
+            if tag is not None:
+                tags[tag] += 1
+    # K4..K7, K_{3,3}, K_{2,3} and K_{3,4}, g1, g2 and the subdivided K_{3,3}
+    E = zf.ExceptionalGraph
+    assert tags == {E.COMPLETE: 4, E.BALANCED_BIPARTITE: 1, E.OFFSET_BIPARTITE: 2,
+                    E.SPORADIC_5: 1, E.SPORADIC_7: 1, E.SUBDIVIDED_K33: 1}
 
 
 def test_census_greedy_meets_its_claim(census):

@@ -221,6 +221,16 @@ def test_file_and_stdin_sources(tmp_path, capsys, monkeypatch):
     assert code == 0 and out.strip() == "1"
 
 
+def test_undecodable_input_file_is_usage_error(tmp_path, capsys):
+    src = tmp_path / "bad.g6"
+    src.write_bytes(b"\xff\n")
+    for command in ("exact", "verify"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(src)])
+        assert exc.value.code == 2
+        assert "can't decode byte 0xff in position 0" in capsys.readouterr().err
+
+
 def test_empty_input_usage_error(capsys, monkeypatch):
     import io
     monkeypatch.setattr("sys.stdin", io.StringIO(""))

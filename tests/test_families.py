@@ -1,9 +1,11 @@
 """Named families, random models, and recognizers."""
 
+from itertools import permutations
+
 import pytest
 
 import zforce as zf
-from zforce.families import ExceptionalGraph, complete_bipartite_parts, is_isomorphic_small
+from zforce.families import ExceptionalGraph, complete_bipartite_parts
 
 
 def test_generate_dispatch_and_arity():
@@ -55,7 +57,7 @@ def test_g2_shape_and_complement_structure():
 def test_subdivided_k33_shape_and_value():
     g = zf.generate("subdivided_k33")
     assert g.n == 7 and g.edge_count() == 10 and g.max_degree() == 3
-    assert is_isomorphic_small(g, zf.parse_graph6("FsPpo"))
+    assert zf.exceptional_tag(zf.parse_graph6("FsPpo")) is ExceptionalGraph.SUBDIVIDED_K33
     # Z = 4 exceeds (D-2)n/(D-1) = 7/2, so the graph is exceptional
     assert zf.brute_force_oracle(g).value == 4
 
@@ -96,10 +98,18 @@ def test_complete_bipartite_recognizer():
     assert complete_bipartite_parts(zf.complete(3)) is None
 
 
-def test_isomorphism_smoke():
-    relabeled = zf.Graph.from_edges(5, [(4, 2), (2, 3), (2, 1), (3, 1), (3, 4), (4, 0), (0, 1)])
-    assert is_isomorphic_small(relabeled, zf.g1())
-    assert not is_isomorphic_small(zf.cycle(5), zf.g1())
+def relabellings(g: zf.Graph):
+    for perm in permutations(range(g.n)):
+        yield zf.Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+def test_sporadic_tags_hold_under_every_relabelling():
+    for g, tag in ((zf.g1(), ExceptionalGraph.SPORADIC_5),
+                   (zf.g2(), ExceptionalGraph.SPORADIC_7),
+                   (zf.subdivided_k33(), ExceptionalGraph.SUBDIVIDED_K33)):
+        assert all(zf.exceptional_tag(h) is tag for h in relabellings(g))
+    assert zf.exceptional_tag(zf.cycle(5)) is None
+    assert zf.exceptional_tag(zf.cycle(7).complement()) is None
 
 
 def test_exceptional_tags():

@@ -14,6 +14,7 @@ from zforce import forcing, heuristics
 from zforce.families import ExceptionalGraph
 from zforce.graph import bit_list, bits, mask_of
 from zforce.heuristics import (
+    ExtensionSubgraph,
     SeedCertificate,
     _augmentation,
     _order_cap,
@@ -463,6 +464,20 @@ def test_order_cap_is_two_log2_n_plus_one():
     for n in range(1, 300):
         cap = _order_cap(n)
         assert 2 ** (cap - 1) <= n * n < 2 ** cap
+
+
+def test_augmentation_names_a_vertex_without_one_private_neighbor():
+    # hand-built kind-a patterns that the search would not pick: in the
+    # spider the interior vertex 3 has no neighbor outside the pattern and
+    # f (the search stops at its degree-2 neighbor first); in the claw
+    # with a tail the filled vertex 0 has two
+    spider = zf.Graph.from_edges(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 7), (2, 5), (5, 6)])
+    claw = zf.Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (1, 4), (4, 5)])
+    for g, f, path, v in ((spider, mask_of([0, 1, 2]), (2, 3, 4), 3),
+                          (claw, 1 << 0, (0, 1, 4), 0)):
+        with pytest.raises(AssertionError,
+                           match=f"^pattern a lacks the private neighbor of vertex {v}$"):
+            _augmentation(g, f, ExtensionSubgraph("a", path, ()))
 
 
 def test_extension_subgraph_preconditions():
