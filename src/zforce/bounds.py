@@ -16,7 +16,7 @@ from .exact import ExactResult, zero_forcing_number
 from .families import ExceptionalGraph, complete_bipartite_parts, exceptional_tag
 from .graph import Graph, components, girth, is_connected
 from .heuristics import probability_classes, vertex_probability
-from .ratmath import girth5_regular_factor, harmonic, subcubic_girth5_value
+from .ratmath import fraction_json, girth5_regular_factor, harmonic, lower_girth_degree, subcubic_girth5_value
 
 PROVEN = "proven"
 CONJECTURED = "conjectured"
@@ -57,11 +57,7 @@ class BoundEntry:
         return {
             "name": self.name,
             "kind": self.kind,
-            "value": None if self.value is None else {
-                "num": self.value.numerator,
-                "den": self.value.denominator,
-                "decimal": float(self.value),
-            },
+            "value": None if self.value is None else fraction_json(self.value),
             "applicable": self.applicable,
             "reason": self.reason,
             "status": self.status,
@@ -91,15 +87,6 @@ def upper_noncomplete(n: int, d: int) -> Fraction:
     if d < 3:
         raise ValueError("needs maximum degree >= 3")
     return Fraction((d - 1) * n, d)
-
-
-def lower_girth_degree(gir: int, delta: int) -> Fraction:
-    """(girth-2)*(delta-2) + 2; proven for girth in {4, 5, 6}."""
-    if gir < 3:
-        raise ValueError("needs finite girth >= 3")
-    if delta < 2:
-        raise ValueError("needs minimum degree >= 2")
-    return Fraction((gir - 2) * (delta - 2) + 2)
 
 
 def conjecture_third_holds(n: int, z_value: int) -> bool:
@@ -305,8 +292,7 @@ def bounds_report(g: Graph, with_exact: bool = False,
     if r is not None and r >= 1 and (gir is None or gir >= 5):
         first_order = (1 - harmonic(r) / r) * n
         info["regular_first_order"] = {
-            "num": first_order.numerator, "den": first_order.denominator,
-            "decimal": float(first_order),
+            **fraction_json(first_order),
             "note": "(1 - H_r/r) n, informational: one-sided only asymptotically",
         }
 

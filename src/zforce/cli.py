@@ -13,25 +13,21 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 
 from . import codec
-from .bounds import bounds_report, conjecture_third_holds
+from .bounds import bounds_report
 from .exact import zero_forcing_number
 from .families import family_names, generate
 from .forcing import closure
-from .graph import Graph, bit_list, is_connected, mask_of
+from .graph import Graph, bit_list, mask_of
 from .heuristics import expected_size, greedy_ratio_zfs, random_zfs, subcubic_girth5_zfs
+from .ratmath import fraction_json
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_NOT_FORCING = 3
 EXIT_BUDGET = 4
 EXIT_VIOLATION = 5
-
-
-def _fraction_json(f: Fraction) -> dict:
-    return {"num": f.numerator, "den": f.denominator, "decimal": float(f)}
 
 
 def _emit(payload: dict) -> None:
@@ -43,7 +39,8 @@ def _read_source(args: argparse.Namespace) -> str:
     if args.g6 is not None:
         return args.g6
     if args.source is None or args.source == "-":
-        return sys.stdin.read()
+        # Strict ASCII like a file, whatever the locale's error handler.
+        return sys.stdin.buffer.read().decode("ascii")
     with open(args.source, encoding="ascii") as handle:
         return handle.read()
 
@@ -158,10 +155,8 @@ def _verify_line(lineno: int, line: str, exact_limit: int, hunt: bool) -> dict:
     }
     if with_exact and report.exact is not None:
         record["z"] = report.exact.value
-    if hunt and with_exact and report.exact is not None and report.exact.complete:
-        if is_connected(g) and g.max_degree() == 3 and \
-                not conjecture_third_holds(g.n, report.exact.value):
-            record["conjecture_counterexample"] = True
+    if hunt and "third_plus_two" in report.conjecture_flags:
+        record["conjecture_counterexample"] = True
     return record
 
 
@@ -213,7 +208,7 @@ def _cmd_expect(args, parser) -> int:
     if args.quiet:
         print(float(value))
     else:
-        _emit(_fraction_json(value))
+        _emit(fraction_json(value))
     return EXIT_OK
 
 

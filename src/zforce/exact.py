@@ -23,6 +23,7 @@ from itertools import combinations
 
 from .forcing import closure_core
 from .graph import Graph, VertexSet, bits, components, girth, mask_of
+from .ratmath import lower_girth_degree
 
 
 @dataclass(frozen=True)
@@ -42,33 +43,10 @@ class ExactResult:
     upper: int
 
 
-class _BudgetExhausted(Exception):
-    """Carries the least cost still on the search frontier when it stopped."""
-
-    def __init__(self, proven_lower: int = 0):
-        super().__init__(proven_lower)
-        self.proven_lower = proven_lower
-
-
-class _Budget:
-    """Counts the closures that ran; refuses the one past the limit."""
-
-    def __init__(self, limit: int | None):
-        if limit is not None and limit < 0:
-            raise ValueError(f"budget must be >= 0, got {limit}")
-        self.limit = limit
-        self.used = 0
-
-    def spend(self) -> None:
-        if self.limit is not None and self.used >= self.limit:
-            raise _BudgetExhausted
-        self.used += 1
-
-
 def _component_lower_bound(g: Graph) -> int:
     gir = girth(g)
     if gir in (5, 6) and g.min_degree() >= 2:
-        return max(1, (gir - 2) * (g.min_degree() - 2) + 2)
+        return int(lower_girth_degree(gir, g.min_degree()))
     return 1
 
 
@@ -84,27 +62,28 @@ def _witness(adj: tuple[int, ...], links: dict, s: VertexSet) -> VertexSet:
     return witness
 
 
-def _solve_connected(g: Graph, budget: _Budget) -> tuple[int, VertexSet]:
+def _solve_connected(g: Graph, limit: int | None) -> tuple[int, VertexSet | None, int]:
+    """(Z, witness, closures run), or (least frontier cost, None, limit) when
+    ``limit`` closures ran before the full set was settled."""
     n, adj, full = g.n, g.adj, g.full_mask
     links = {0: (0, 0, -1)}  # closed set -> (cost, parent closed set, vertex)
     heap = [(0, 0, 0)]  # (cost, insertion order, closed set)
     pushed = 1
+    used = 0
     while heap:
         cost, _, s = heappop(heap)
         if links[s][0] < cost:
             continue  # a cheaper entry for s was already expanded
         if s == full:
-            return cost, _witness(adj, links, s)
+            return cost, _witness(adj, links, s), used
         for v in range(n):
             u = (adj[v] | 1 << v) & ~s
             if not u:
                 continue
-            try:
-                budget.spend()
-            except _BudgetExhausted:
+            if used == limit:
                 # Steps cost at least 1, so nothing unsettled costs less.
-                frontier = min(heap[0][0], cost + 1) if heap else cost + 1
-                raise _BudgetExhausted(frontier) from None
+                return (min(heap[0][0], cost + 1) if heap else cost + 1), None, used
+            used += 1
             new_cost = cost + (u.bit_count() - 1 if adj[v] & u else 1)
             t = closure_core(adj, s | u, s | u)[0]
             if t not in links or new_cost < links[t][0]:
@@ -124,34 +103,29 @@ def zero_forcing_number(g: Graph, budget: int | None = None) -> ExactResult:
     far instead of a value, and ``nodes_explored`` counts the closures
     that ran.
     """
-    state = _Budget(budget)
-    total = 0
-    witness = 0
-    lower = 0
-    upper = 0
+    if budget is not None and budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    used = lower = upper = witness = 0
     complete = True
     comps = components(g)
     for comp in comps:
         # A connected graph is its own component; skip the relabelled copy.
         sub, labels = (g, range(g.n)) if len(comps) == 1 else g.induced(comp)
-        frontier = 0
-        if complete:
-            try:
-                value, sub_witness = _solve_connected(sub, state)
-            except _BudgetExhausted as exc:
-                complete = False
-                frontier = exc.proven_lower
-            else:
-                total += value
-                witness |= mask_of(labels[i] for i in bits(sub_witness))
-                lower += value
-                upper += value
-                continue
-        lower += max(frontier, _component_lower_bound(sub))
-        upper += sub.n - 1 if sub.edge_count() else sub.n
+        cost, sub_witness, ran = _solve_connected(sub, None if budget is None else budget - used)
+        used += ran
+        if sub_witness is None:
+            # After a stop no budget is left: later components return cost 1
+            # and keep their static bound.
+            complete = False
+            lower += max(cost, _component_lower_bound(sub))
+            upper += sub.n - 1 if sub.edge_count() else sub.n
+        else:
+            witness |= mask_of(labels[i] for i in bits(sub_witness))
+            lower += cost
+            upper += cost
     if complete:
-        return ExactResult(total, witness, state.used, True, total, total)
-    return ExactResult(None, None, state.used, False, lower, upper)
+        return ExactResult(lower, witness, used, True, lower, upper)
+    return ExactResult(None, None, used, False, lower, upper)
 
 
 def brute_force_oracle(g: Graph) -> ExactResult:

@@ -39,6 +39,7 @@ from .forcing import (
 from .graph import Graph, VertexSet, bit_list, bits, girth, is_connected, mask_of, reachable, shortest_cycle
 from .ratmath import (
     cost_within_log_budget,
+    fraction_json,
     running_ratio_ok,
     subcubic_girth5_value,
 )
@@ -72,11 +73,7 @@ class HeuristicResult:
         out = self.trace.to_json_dict()
         out["method"] = self.method
         out["size"] = self.size
-        out["bound_claim"] = {
-            "num": self.bound_claim.numerator,
-            "den": self.bound_claim.denominator,
-            "decimal": float(self.bound_claim),
-        }
+        out["bound_claim"] = fraction_json(self.bound_claim)
         if self.sample_mean is not None:
             out["sample_mean"] = float(self.sample_mean)
         if self.exceptional is not None:

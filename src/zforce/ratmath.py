@@ -19,6 +19,20 @@ def harmonic(r: int) -> Fraction:
     return sum((Fraction(1, i) for i in range(1, r + 1)), Fraction(0))
 
 
+def fraction_json(f: Fraction) -> dict:
+    """The JSON rendering of an exact value: numerator, denominator, decimal."""
+    return {"num": f.numerator, "den": f.denominator, "decimal": float(f)}
+
+
+def lower_girth_degree(gir: int, delta: int) -> Fraction:
+    """(girth-2)*(delta-2) + 2; proven for girth in {4, 5, 6}."""
+    if gir < 3:
+        raise ValueError("needs finite girth >= 3")
+    if delta < 2:
+        raise ValueError("needs minimum degree >= 2")
+    return Fraction((gir - 2) * (delta - 2) + 2)
+
+
 def girth5_regular_factor(r: int) -> Fraction:
     """prod_{i=1..r} (1 - 1/(r*i + 1)): the per-vertex inclusion probability
     of the random-permutation construction on an r-regular graph whose

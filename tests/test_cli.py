@@ -1,5 +1,7 @@
 """Command line interface: formats, exit codes, determinism."""
 
+import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -187,6 +189,29 @@ def test_verify_named_corpus_is_clean(tmp_path, capsys, named_graphs):
     assert summary["violations"] == 0 and summary["conjecture_counterexamples"] == 0
 
 
+def test_hunt_reports_a_flagged_graph(capsys, monkeypatch):
+    # No small graph breaks n/3 + 2, so plant the catalog's flag.
+    import zforce.cli
+
+    real = zforce.cli.bounds_report
+
+    def flagged(g, **kwargs):
+        return dataclasses.replace(real(g, **kwargs), conjecture_flags=("third_plus_two",))
+
+    monkeypatch.setattr(zforce.cli, "bounds_report", flagged)
+    pet = zf.to_graph6(zf.generate("petersen"))
+    code, out, err = run(capsys, "verify", "--g6", pet, "--hunt-conjecture")
+    record, summary = (json.loads(line) for line in out.splitlines())
+    assert code == 0
+    assert record["conjecture_counterexample"] is True
+    assert f"CONJECTURE COUNTEREXAMPLE: {pet}" in err.splitlines()
+    assert summary["conjecture_counterexamples"] == 1
+    code, out, err = run(capsys, "verify", "--g6", pet)
+    record, summary = (json.loads(line) for line in out.splitlines())
+    assert "conjecture_counterexample" not in record and err == ""
+    assert summary["conjecture_counterexamples"] == 0
+
+
 def test_verify_reports_malformed_lines(tmp_path, capsys):
     src = tmp_path / "bad.g6"
     src.write_text("C~\nC~~~\n")
@@ -215,8 +240,7 @@ def test_file_and_stdin_sources(tmp_path, capsys, monkeypatch):
     src.write_text("3\n0 1\n1 2\n")
     code, out, _ = run(capsys, "exact", str(src), "--quiet")
     assert code == 0 and out.strip() == "1"
-    import io
-    monkeypatch.setattr("sys.stdin", io.StringIO("Bg\n"))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"Bg\n")))
     code, out, _ = run(capsys, "exact", "-", "--quiet")
     assert code == 0 and out.strip() == "1"
 
@@ -231,9 +255,23 @@ def test_undecodable_input_file_is_usage_error(tmp_path, capsys):
         assert "can't decode byte 0xff in position 0" in capsys.readouterr().err
 
 
+def test_undecodable_stdin_is_usage_error(capsys, monkeypatch):
+    # Strict ASCII as for a file, even where the C or POSIX locale reads
+    # stdin with surrogate escapes.
+    for command in ("exact", "verify"):
+        posix = io.TextIOWrapper(io.BytesIO(b"\xff\n"), encoding="ascii",
+                                 errors="surrogateescape")
+        monkeypatch.setattr("sys.stdin", posix)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "-"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "'ascii' codec can't decode byte 0xff in position 0" in captured.err
+        assert captured.out == ""
+
+
 def test_empty_input_usage_error(capsys, monkeypatch):
-    import io
-    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"")))
     with pytest.raises(SystemExit) as exc:
         main(["exact", "-"])
     assert exc.value.code == 2

@@ -106,10 +106,25 @@ def test_lower_bound_seed_counts():
     assert res.nodes_explored < 500
 
 
+def _disjoint_union(*graphs):
+    adj, offset = [], 0
+    for g in graphs:
+        adj.extend(a << offset for a in g.adj)
+        offset += g.n
+    return zf.Graph(offset, tuple(adj))
+
+
 def test_every_budget_gives_a_sound_interval(random_corpus):
+    # On a disjoint union the budget left over passes from one component to
+    # the next, and a stop leaves the later components their static bounds.
     named = [zf.generate("petersen"), zf.path(5), zf.cycle(6), zf.complete(4)]
-    for g in named + random_corpus[:20]:
-        z = zf.brute_force_oracle(g).value
+    parts = [(g,) for g in named + random_corpus[:20]]
+    parts += [(zf.generate("petersen"), zf.complete(4), zf.path(3)),
+              (zf.path(3), zf.generate("petersen"))]
+    parts += [tuple(random_corpus[i:i + 2]) for i in range(0, 20, 2)]
+    for graphs in parts:
+        g = _disjoint_union(*graphs)
+        z = sum(zf.brute_force_oracle(h).value for h in graphs)
         full = zf.zero_forcing_number(g).nodes_explored
         for budget in range(0, full + 1):
             res = zf.zero_forcing_number(g, budget)
