@@ -74,14 +74,10 @@ from .bounds import (
     bounds_report,
     classify_counts,
     classify_vertex,
-    conjecture_third_holds,
     lower_girth_degree,
-    upper_cubic_trianglefree,
     upper_degree_ratio,
     upper_degree_refined,
-    upper_exception_free,
     upper_noncomplete,
-    upper_regular_girth5,
 )
 from .ratmath import (
     girth5_regular_factor,

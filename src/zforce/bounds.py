@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exact import ExactResult, zero_forcing_number
-from .families import ExceptionalGraph, complete_bipartite_parts, exceptional_tag
+from .families import ExceptionalGraph, exceptional_tag
 from .graph import Graph, components, girth, is_connected
 from .heuristics import probability_classes, vertex_probability
 from .ratmath import fraction_json, girth5_regular_factor, harmonic, lower_girth_degree, subcubic_girth5_value
@@ -89,11 +89,6 @@ def upper_noncomplete(n: int, d: int) -> Fraction:
     return Fraction((d - 1) * n, d)
 
 
-def conjecture_third_holds(n: int, z_value: int) -> bool:
-    """The open n/3 + 2 predicate for connected subcubic graphs."""
-    return Fraction(z_value) <= Fraction(n, 3) + 2
-
-
 # -- vertex classification -------------------------------------------------
 
 
@@ -116,62 +111,13 @@ def classify_vertex(g: Graph, u: int) -> VertexType:
     return VertexType(index, p)
 
 
-def _has_k33_component(g: Graph) -> bool:
-    if g.n != 6 and is_connected(g):
-        return False
-    for comp in components(g):
-        if comp.bit_count() == 6:
-            sub, _ = g.induced(comp)
-            if complete_bipartite_parts(sub) == (3, 3):
-                return True
-    return False
-
-
-# -- graph-level entries ----------------------------------------------------
-
-
-def upper_exception_free(g: Graph) -> BoundEntry:
-    """(d-2)n/(d-1), valid exactly when the graph is none of the six
-    exceptional graphs."""
-    return _exception_free(g, is_connected(g), exceptional_tag(g))
-
-
-def _exception_free(g: Graph, conn: bool, tag: ExceptionalGraph | None) -> BoundEntry:
-    """The exception_free entry, given g's connectivity and exceptional tag."""
-    d = g.max_degree()
-    name, kind, source = "exception_free", "upper", "(d-2)n/(d-1) outside six exceptional graphs"
-    if not conn or d < 3:
-        return BoundEntry(name, kind, None, False, "needs connected, max degree >= 3", PROVEN, source)
-    if tag is not None:
-        return BoundEntry(name, kind, None, False, f"exceptional graph: {tag.value}", PROVEN, source)
-    return BoundEntry(name, kind, Fraction((d - 2) * g.n, d - 1), True, "", PROVEN, source)
-
-
-def upper_regular_girth5(g: Graph) -> BoundEntry:
-    """Product-factor bound for r-regular graphs of girth at least 5."""
-    name, kind, source = "regular_girth5", "upper", "prod(1 - 1/(ri+1)) * n for r-regular, girth >= 5"
-    r = g.is_regular()
-    gir = girth(g)
-    if r is None:
-        return BoundEntry(name, kind, None, False, "graph is not regular", PROVEN, source)
-    if gir is not None and gir < 5:
-        return BoundEntry(name, kind, None, False, f"girth {gir} < 5", PROVEN, source)
-    return BoundEntry(name, kind, girth5_regular_factor(r) * g.n, True, "", PROVEN, source)
-
-
-def upper_cubic_trianglefree(g: Graph) -> BoundEntry:
-    """Sum of the seven type probabilities over all vertices."""
-    name, kind, source = "cubic_trianglefree", "upper", "sum of type probabilities, cubic triangle-free"
-    gir = girth(g)
-    if g.is_regular() != 3:
-        return BoundEntry(name, kind, None, False, "graph is not cubic", PROVEN, source)
-    if gir == 3:
-        return BoundEntry(name, kind, None, False, "graph has a triangle", PROVEN, source)
-    if _has_k33_component(g):
-        return BoundEntry(name, kind, None, False, "a component is K_3,3", PROVEN, source)
-    total = sum((count * TYPE_PROBABILITIES[i] for i, count in classify_counts(g).items()),
-                Fraction(0))
-    return BoundEntry(name, kind, total, True, "", PROVEN, source)
+def _has_k33_component(g: Graph, conn: bool) -> bool:
+    # The caller has checked that g is cubic and triangle-free.  The only
+    # cubic graphs on six vertices are K_3,3 and the prism, which has
+    # triangles, so a six-vertex component is K_3,3.
+    if conn:
+        return g.n == 6
+    return any(comp.bit_count() == 6 for comp in components(g))
 
 
 def classify_counts(g: Graph) -> dict[int, int]:
@@ -238,58 +184,53 @@ def bounds_report(g: Graph, with_exact: bool = False,
     n, d = g.n, g.max_degree()
     delta = g.min_degree()
     gir = girth(g)
+    girth5 = gir is None or gir >= 5
     conn = is_connected(g)
+    r = g.is_regular()
     tag = exceptional_tag(g)
     entries = []
 
-    def closed_form(name, kind, status, source, ok, reason, value):
-        entries.append(BoundEntry(
-            name, kind, value() if ok else None, ok,
-            "" if ok else reason, status, source,
-        ))
+    def entry(name, kind, status, source, reason, value):
+        # An entry applies when it has no reason not to; only then is its
+        # value computed.
+        ok = not reason
+        entries.append(BoundEntry(name, kind, value() if ok else None, ok, reason, status, source))
 
-    closed_form(
-        "degree_ratio", "upper", PROVEN, "d*n/(d+1) for connected graphs",
-        conn and d >= 2, "needs connected, max degree >= 2",
-        lambda: upper_degree_ratio(n, d),
-    )
-    closed_form(
-        "degree_refined", "upper", PROVEN, "((d-2)n+2)/(d-1) for connected graphs",
-        conn and d >= 2, "needs connected, max degree >= 2",
-        lambda: upper_degree_refined(n, d),
-    )
-    closed_form(
-        "noncomplete", "upper", PROVEN, "(d-1)n/d for connected non-complete graphs",
-        conn and d >= 3 and tag is not ExceptionalGraph.COMPLETE,
-        "needs connected, max degree >= 3, and not the complete graph",
-        lambda: upper_noncomplete(n, d),
-    )
-    entries.append(_exception_free(g, conn, tag))
-    closed_form(
-        "subcubic_girth5", "upper", PROVEN, "n/2 - n/(24 log2 n + 6) + 2",
-        conn and d == 3 and (gir is None or gir >= 5),
-        "needs connected, max degree 3, girth >= 5",
-        lambda: subcubic_girth5_value(n),
-    )
-    entries.append(upper_regular_girth5(g))
-    entries.append(upper_cubic_trianglefree(g))
-    closed_form(
-        "girth_degree", "lower",
-        PROVEN if gir in (4, 5, 6) else CONJECTURED,
-        "(g-2)(delta-2)+2 for finite girth, min degree >= 2",
-        gir is not None and delta >= 2,
-        "needs a cycle and minimum degree >= 2",
-        lambda: lower_girth_degree(gir, delta),
-    )
-    closed_form(
-        "third_plus_two", "upper", CONJECTURED, "n/3 + 2 for connected subcubic graphs",
-        conn and d == 3, "needs connected, max degree 3",
-        lambda: Fraction(n, 3) + 2,
-    )
+    entry("degree_ratio", "upper", PROVEN, "d*n/(d+1) for connected graphs",
+          "" if conn and d >= 2 else "needs connected, max degree >= 2",
+          lambda: upper_degree_ratio(n, d))
+    entry("degree_refined", "upper", PROVEN, "((d-2)n+2)/(d-1) for connected graphs",
+          "" if conn and d >= 2 else "needs connected, max degree >= 2",
+          lambda: upper_degree_refined(n, d))
+    entry("noncomplete", "upper", PROVEN, "(d-1)n/d for connected non-complete graphs",
+          "" if conn and d >= 3 and tag is not ExceptionalGraph.COMPLETE
+          else "needs connected, max degree >= 3, and not the complete graph",
+          lambda: upper_noncomplete(n, d))
+    entry("exception_free", "upper", PROVEN, "(d-2)n/(d-1) outside six exceptional graphs",
+          "needs connected, max degree >= 3" if not conn or d < 3
+          else f"exceptional graph: {tag.value}" if tag is not None else "",
+          lambda: Fraction((d - 2) * n, d - 1))
+    entry("subcubic_girth5", "upper", PROVEN, "n/2 - n/(24 log2 n + 6) + 2",
+          "" if conn and d == 3 and girth5 else "needs connected, max degree 3, girth >= 5",
+          lambda: subcubic_girth5_value(n))
+    entry("regular_girth5", "upper", PROVEN, "prod(1 - 1/(ri+1)) * n for r-regular, girth >= 5",
+          "graph is not regular" if r is None else "" if girth5 else f"girth {gir} < 5",
+          lambda: girth5_regular_factor(r) * n)
+    entry("cubic_trianglefree", "upper", PROVEN, "sum of type probabilities, cubic triangle-free",
+          "graph is not cubic" if r != 3
+          else "graph has a triangle" if gir == 3
+          else "a component is K_3,3" if _has_k33_component(g, conn) else "",
+          lambda: sum(count * TYPE_PROBABILITIES[i] for i, count in classify_counts(g).items()))
+    entry("girth_degree", "lower", PROVEN if gir in (4, 5, 6) else CONJECTURED,
+          "(g-2)(delta-2)+2 for finite girth, min degree >= 2",
+          "" if gir is not None and delta >= 2 else "needs a cycle and minimum degree >= 2",
+          lambda: lower_girth_degree(gir, delta))
+    entry("third_plus_two", "upper", CONJECTURED, "n/3 + 2 for connected subcubic graphs",
+          "" if conn and d == 3 else "needs connected, max degree 3",
+          lambda: Fraction(n, 3) + 2)
 
     info: dict = {}
-    r = g.is_regular()
-    if r is not None and r >= 1 and (gir is None or gir >= 5):
+    if r is not None and r >= 1 and girth5:
         first_order = (1 - harmonic(r) / r) * n
         info["regular_first_order"] = {
             **fraction_json(first_order),
@@ -301,14 +242,10 @@ def bounds_report(g: Graph, with_exact: bool = False,
     flags = []
     if exact is not None and exact.complete:
         for e in entries:
-            if not e.applicable or e.value is None:
+            if e.value is None:
                 continue
-            bad = (e.kind == "upper" and e.value < exact.value) or \
-                  (e.kind == "lower" and e.value > exact.value)
-            if bad and e.status == PROVEN:
-                violations.append(e.name)
-            elif bad:
-                flags.append(e.name)
+            if e.value < exact.value if e.kind == "upper" else e.value > exact.value:
+                (violations if e.status == PROVEN else flags).append(e.name)
     return BoundReport(
         n, d, delta, gir, conn, r,
         tuple(entries), exact, tuple(violations), tuple(flags), info,

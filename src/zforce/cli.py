@@ -47,12 +47,13 @@ def _read_source(args: argparse.Namespace) -> str:
 
 def _load_graph(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Graph:
     text = _read_source(args)
-    stripped = text.strip()
-    if not stripped:
+    # Unstripped, so graph6 error offsets count the leading whitespace.
+    first = next((line for line in text.split("\n") if line.strip()), None)
+    if first is None:
         parser.error("empty graph input")
-    if codec.looks_like_graph6(stripped.splitlines()[0]):
-        return codec.parse_graph6(stripped.splitlines()[0])
-    return codec.parse_edge_list(stripped)
+    if codec.looks_like_graph6(first):
+        return codec.parse_graph6(first)
+    return codec.parse_edge_list(text)
 
 
 def _parse_set(spec: str, g: Graph, parser: argparse.ArgumentParser) -> int:
@@ -143,12 +144,12 @@ def _verify_line(lineno: int, line: str, exact_limit: int, hunt: bool) -> dict:
     try:
         g = codec.parse_graph6(line)
     except ValueError as exc:
-        return {"line": lineno, "graph6": line, "error": str(exc)}
+        return {"line": lineno, "graph6": line.strip(), "error": str(exc)}
     with_exact = g.n <= exact_limit
     report = bounds_report(g, with_exact=with_exact)
     record = {
         "line": lineno,
-        "graph6": line,
+        "graph6": line.strip(),
         "n": g.n,
         "violations": list(report.violations),
         "conjecture_flags": list(report.conjecture_flags),
@@ -161,17 +162,19 @@ def _verify_line(lineno: int, line: str, exact_limit: int, hunt: bool) -> dict:
 
 
 def _cmd_verify(args, parser) -> int:
+    # Lines are numbered as in the file: blank lines are skipped without
+    # renumbering.  Each line reaches the parser unstripped, so graph6
+    # error offsets count its leading whitespace.
     if args.g6 is not None:
-        lines = [args.g6]
+        numbered = [(1, args.g6)]
     else:
-        text = _read_source(args)
-        lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    records = [_verify_line(lineno, line, args.exact_limit, args.hunt_conjecture)
-               for lineno, line in enumerate(lines, start=1)]
+        numbered = [(lineno, line) for lineno, line
+                    in enumerate(_read_source(args).split("\n"), start=1) if line.strip()]
     violations = 0
     counterexamples = 0
     errors = 0
-    for record in records:
+    for lineno, line in numbered:
+        record = _verify_line(lineno, line, args.exact_limit, args.hunt_conjecture)
         violations += len(record.get("violations", ()))
         errors += 1 if "error" in record else 0
         if record.get("conjecture_counterexample"):
@@ -180,7 +183,7 @@ def _cmd_verify(args, parser) -> int:
         print(json.dumps(record))
     summary = {
         "summary": True,
-        "graphs": len(records),
+        "graphs": len(numbered),
         "violations": violations,
         "parse_errors": errors,
         "conjecture_counterexamples": counterexamples,

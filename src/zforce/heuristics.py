@@ -309,9 +309,8 @@ def _exceptional_witness(g: Graph, tag: ExceptionalGraph) -> VertexSet:
     if tag is ExceptionalGraph.COMPLETE:
         return (1 << g.max_degree()) - 1
     if tag in (ExceptionalGraph.BALANCED_BIPARTITE, ExceptionalGraph.OFFSET_BIPARTITE):
-        side_a = mask_of(v for v in range(g.n) if g.adj[v] == g.adj[0])
-        side_b = g.full_mask ^ side_a
-        return g.full_mask ^ (side_a & -side_a) ^ (side_b & -side_b)
+        # Leave out vertex 0 and its least neighbour, one from each side.
+        return g.full_mask ^ 1 ^ (g.adj[0] & -g.adj[0])
     return zero_forcing_number(g).witness  # the sporadic graphs are tiny
 
 

@@ -1,6 +1,8 @@
 """Bound formulas, vertex classification, and the report."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,14 +11,10 @@ from zforce.bounds import (
     TYPE_PROBABILITIES,
     bounds_report,
     classify_vertex,
-    conjecture_third_holds,
     lower_girth_degree,
-    upper_cubic_trianglefree,
     upper_degree_ratio,
     upper_degree_refined,
-    upper_exception_free,
     upper_noncomplete,
-    upper_regular_girth5,
 )
 from zforce.ratmath import (
     girth5_regular_factor,
@@ -25,6 +23,10 @@ from zforce.ratmath import (
     subcubic_girth5_value,
     subcubic_size_ok,
 )
+
+
+def entry_of(g, name):
+    return next(e for e in bounds_report(g).entries if e.name == name)
 
 
 def test_degree_ratio_values():
@@ -108,9 +110,12 @@ def test_subcubic_size_check_matches_value():
 
 
 def test_conjecture_predicate():
-    assert conjecture_third_holds(10, 5)
-    assert conjecture_third_holds(4, 3)
-    assert not conjecture_third_holds(10, 6)
+    # Z <= n/3 + 2 is 3Z <= n + 6 in integers; Petersen holds at Z = 5
+    # and fails at Z = 6, K_4 holds at Z = 3
+    for g in (zf.complete(4), zf.generate("petersen"), zf.complete_bipartite(3, 3)):
+        bound = entry_of(g, "third_plus_two").value
+        for z in range(g.n + 1):
+            assert (z <= bound) == (3 * z <= g.n + 6)
 
 
 # -- vertex types -------------------------------------------------------------
@@ -133,7 +138,7 @@ def test_cube_vertices_all_type_seven():
                                  (5, 7), (6, 7)])
     counts = zf.classify_counts(q3)
     assert counts == {1: 0, 2: 0, 3: 0, 4: 0, 5: 0, 6: 0, 7: 8}
-    assert upper_cubic_trianglefree(q3).value == zf.expected_size(q3)
+    assert entry_of(q3, "cubic_trianglefree").value == zf.expected_size(q3)
 
 
 def test_type_four_and_six_witnesses():
@@ -168,11 +173,11 @@ def test_triangle_vertex_rejected():
 
 
 def test_exception_free_entry():
-    pet = upper_exception_free(zf.generate("petersen"))
+    pet = entry_of(zf.generate("petersen"), "exception_free")
     assert pet.applicable and pet.value == 5
-    k33 = upper_exception_free(zf.complete_bipartite(3, 3))
+    k33 = entry_of(zf.complete_bipartite(3, 3), "exception_free")
     assert not k33.applicable and "balanced_bipartite" in k33.reason
-    g1 = upper_exception_free(zf.g1())
+    g1 = entry_of(zf.g1(), "exception_free")
     assert not g1.applicable
 
 
@@ -181,42 +186,48 @@ def test_report_tags_each_graph_once(named_graphs, random_corpus, monkeypatch):
     graphs = list(named_graphs.values()) + random_corpus[:50]
     reports = [bounds_report(g) for g in graphs]
     tags = []
+    connectivity = []
 
     def counted(g):
         tags.append(g)
         return zf.exceptional_tag(g)
 
+    def counted_connected(g):
+        connectivity.append(g)
+        return zf.is_connected(g)
+
     monkeypatch.setattr(bounds, "exceptional_tag", counted)
+    monkeypatch.setattr(bounds, "is_connected", counted_connected)
     for g, report in zip(graphs, reports):
         tags.clear()
+        connectivity.clear()
         assert bounds_report(g) == report
         assert len(tags) == 1
-        entry = next(e for e in report.entries if e.name == "exception_free")
-        assert upper_exception_free(g) == entry
+        assert len(connectivity) == 1
 
 
 def test_regular_girth5_entry():
-    pet = upper_regular_girth5(zf.generate("petersen"))
+    pet = entry_of(zf.generate("petersen"), "regular_girth5")
     assert pet.applicable and pet.value == Fraction(81, 14)
-    c7 = upper_regular_girth5(zf.cycle(7))
+    c7 = entry_of(zf.cycle(7), "regular_girth5")
     assert c7.applicable and c7.value == Fraction(56, 15)
-    k4 = upper_regular_girth5(zf.complete(4))
+    k4 = entry_of(zf.complete(4), "regular_girth5")
     assert not k4.applicable
-    path = upper_regular_girth5(zf.path(4))
+    path = entry_of(zf.path(4), "regular_girth5")
     assert not path.applicable  # not regular
 
 
 def test_cubic_trianglefree_entry(cubic_tf_corpus):
-    k33 = upper_cubic_trianglefree(zf.complete_bipartite(3, 3))
+    k33 = entry_of(zf.complete_bipartite(3, 3), "cubic_trianglefree")
     assert not k33.applicable
     petersen_edges = zf.generate("petersen").edges()
     k33_and_petersen = zf.Graph.from_edges(
         16, zf.complete_bipartite(3, 3).edges() + [(u + 6, v + 6) for u, v in petersen_edges])
-    assert upper_cubic_trianglefree(k33_and_petersen).reason == "a component is K_3,3"
-    pet = upper_cubic_trianglefree(zf.generate("petersen"))
+    assert entry_of(k33_and_petersen, "cubic_trianglefree").reason == "a component is K_3,3"
+    pet = entry_of(zf.generate("petersen"), "cubic_trianglefree")
     assert pet.applicable and pet.value == Fraction(81, 14)
     for g in cubic_tf_corpus[:10]:
-        entry = upper_cubic_trianglefree(g)
+        entry = entry_of(g, "cubic_trianglefree")
         assert entry.applicable
         assert entry.value == zf.expected_size(g)
 
@@ -230,7 +241,7 @@ def test_type_census_matches_the_per_vertex_definitions(cubic_tf_corpus, cubic_g
         assert zf.classify_counts(g) == {i: sum(t.index == i for t in types)
                                          for i in TYPE_PROBABILITIES}
         per_vertex = sum((t.probability for t in types), Fraction(0))
-        assert upper_cubic_trianglefree(g).value == per_vertex
+        assert entry_of(g, "cubic_trianglefree").value == per_vertex
 
 
 def test_report_invariants_on_named(named_graphs):
@@ -264,3 +275,21 @@ def test_report_identity_regular_equals_expectation(cubic_g5_corpus):
         report = bounds_report(g)
         entry = {e.name: e for e in report.entries}["regular_girth5"]
         assert entry.value == zf.expected_size(g)
+
+
+def test_report_json_is_byte_identical_on_the_fixed_batch():
+    # tests/data/bounds_batch.jsonl: one report per graph of
+    # tests/data/verify_batch.g6 that parses, exact value attached up to
+    # n = 12.  The batch reaches every reason string of the nine entries,
+    # both girth_degree statuses and the info key; a change to any entry
+    # must be stated on purpose.
+    data = Path(__file__).resolve().parent / "data"
+    lines = []
+    for line in (data / "verify_batch.g6").read_text().splitlines():
+        try:
+            g = zf.parse_graph6(line)
+        except ValueError:
+            continue
+        lines.append(json.dumps(bounds_report(g, with_exact=g.n <= 12).to_json_dict()) + "\n")
+    assert len(lines) == 104
+    assert "".join(lines) == (data / "bounds_batch.jsonl").read_text()

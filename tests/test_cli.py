@@ -222,6 +222,22 @@ def test_verify_reports_malformed_lines(tmp_path, capsys):
     assert rows[-1]["parse_errors"] == 1
 
 
+def test_verify_numbers_lines_as_the_file_and_counts_leading_whitespace(tmp_path, capsys):
+    src = tmp_path / "gaps.g6"
+    src.write_text("Bg\n\n   \n?\n  Bg!\n\n")
+    code, out, _ = run(capsys, "verify", str(src))
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert code == 2
+    assert [row.get("line") for row in rows[:-1]] == [1, 4, 5]
+    assert rows[1]["graph6"] == "?"
+    assert rows[2]["graph6"] == "Bg!" and rows[2]["error"].endswith("(byte offset 4)")
+    assert rows[-1]["graphs"] == 3 and rows[-1]["parse_errors"] == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["exact", "--g6", "\n  Bg!"])
+    assert exc.value.code == 2
+    assert "(byte offset 4)" in capsys.readouterr().err
+
+
 def test_verify_output_is_byte_identical_on_the_fixed_batch(capsys):
     # tests/data/verify_batch.g6: the first 40 graphs of the random corpus,
     # 8 cubic triangle-free and 6 cubic girth-5 corpus graphs, the named
