@@ -55,14 +55,12 @@ from .exact import ExactResult, brute_force_oracle, zero_forcing_number
 from .heuristics import (
     ExtensionSubgraph,
     HeuristicResult,
-    SeedCertificate,
     expected_size,
     find_extension_subgraph,
     find_seed,
     greedy_extend,
     greedy_ratio_zfs,
     random_zfs,
-    seed_certificate,
     subcubic_girth5_zfs,
     vertex_probability,
 )

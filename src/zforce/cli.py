@@ -39,10 +39,13 @@ def _read_source(args: argparse.Namespace) -> str:
     if args.g6 is not None:
         return args.g6
     if args.source is None or args.source == "-":
-        # Strict ASCII like a file, whatever the locale's error handler.
-        return sys.stdin.buffer.read().decode("ascii")
-    with open(args.source, encoding="ascii") as handle:
-        return handle.read()
+        data = sys.stdin.buffer.read()
+    else:
+        with open(args.source, "rb") as handle:
+            data = handle.read()
+    # Bytes decoded as strict ASCII, whatever the locale: a file and stdin
+    # give the same text, with no newline translation.
+    return data.decode("ascii")
 
 
 def _load_graph(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Graph:
@@ -248,7 +251,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bounds", help="evaluate the full bound catalog")
     _add_source_args(p)
     p.add_argument("--exact", action="store_true",
-                   help="attach the exact value and check the sandwich")
+                   help="attach the exact value and check the sandwich; no default "
+                        "budget or order limit, so cap large graphs with --budget")
     p.add_argument("--budget", type=int, default=None,
                    help="cap on closure invocations of --exact")
     _add_quiet(p)

@@ -3,8 +3,8 @@
 Four routes to a small zero forcing set, each with a checkable size
 guarantee:
 
-* ``greedy_extend`` grows a certified seed into a full set of size at
-  most (D-2)n/(D-1), never breaking the seed ratio along the way.
+* ``greedy_extend`` grows a seed set into a full set of size at most
+  (D-2)n/(D-1), never breaking the seed ratio along the way.
 * ``find_seed`` produces such a seed for every connected graph of
   maximum degree D >= 3 apart from six exceptional graphs, which it
   recognizes and reports instead.
@@ -33,7 +33,6 @@ from .forcing import (
     _permutation_to_set,
     closure,
     closure_core,
-    closure_mask,
     is_zero_forcing_set,
 )
 from .graph import Graph, VertexSet, bit_list, bits, girth, is_connected, mask_of, reachable, shortest_cycle
@@ -84,35 +83,22 @@ class HeuristicResult:
 # -- seeds and the ratio greedy ------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeedCertificate:
-    """A seed set whose closure is large enough to start the greedy.
+def _seed_start(g: Graph, d: int, z0: VertexSet) -> tuple[VertexSet, VertexSet] | None:
+    """The closure of z0 and its stalled boundary if z0 is a seed, else None.
 
-    ``ratio_ok`` states |closure| * (D-2) >= |z0| * (D-1) in integers;
-    ``no_isolated`` states the closure induces no isolated vertex.  Both
-    together guarantee the greedy extension lands at (D-2)n/(D-1).
+    The seed rule, stated here only: z0 is non-empty, |closure| * (D-2) >=
+    |z0| * (D-1), and no closure vertex is isolated inside the closure.
+    Together they guarantee the greedy extension lands at (D-2)n/(D-1).
     """
-
-    z0: VertexSet
-    closure: VertexSet
-    closure_size: int
-    ratio_ok: bool
-    no_isolated: bool
-
-    @property
-    def valid(self) -> bool:
-        return self.ratio_ok and self.no_isolated
-
-
-def seed_certificate(g: Graph, z0: VertexSet) -> SeedCertificate:
-    d = g.max_degree()
-    if d < 3:
-        raise ValueError("seed certificates need maximum degree >= 3")
-    f = closure_mask(g, z0)
-    size = f.bit_count()
-    ratio_ok = z0 != 0 and size * (d - 2) >= z0.bit_count() * (d - 1)
-    no_isolated = all(g.adj[v] & f for v in bits(f))
-    return SeedCertificate(z0, f, size, ratio_ok, no_isolated)
+    if not z0:
+        return None
+    adj = g.adj
+    filled, boundary = closure_core(adj, z0, z0)
+    if filled.bit_count() * (d - 2) < z0.bit_count() * (d - 1):
+        return None
+    if any(not adj[w] & filled for w in bits(filled)):
+        return None
+    return filled, boundary
 
 
 def _closed_union_minus(g: Graph, keep: list[int], drop: VertexSet) -> VertexSet:
@@ -202,8 +188,8 @@ def _futile_seeds(g: Graph, d: int, v: int) -> bool:
             and (g.girth or 4) >= 4)
 
 
-def find_seed(g: Graph) -> SeedCertificate | ExceptionalGraph:
-    """A valid seed certificate, or the exceptional-graph tag.
+def find_seed(g: Graph) -> VertexSet | ExceptionalGraph:
+    """A seed set meeting the seed rule, or the exceptional-graph tag.
 
     Tries, in order: single closed neighborhoods minus one vertex (always
     enough when some degree is at most D-2), the shortest-cycle
@@ -216,7 +202,8 @@ def find_seed(g: Graph) -> SeedCertificate | ExceptionalGraph:
     """
     if not is_connected(g):
         raise ValueError("seed search needs a connected graph")
-    if g.max_degree() < 3:
+    d = g.max_degree()
+    if d < 3:
         raise ValueError("seed search needs maximum degree >= 3")
     tag = exceptional_tag(g)
     if tag is not None:
@@ -224,25 +211,23 @@ def find_seed(g: Graph) -> SeedCertificate | ExceptionalGraph:
 
     seen: set[int] = set()
 
-    def test(z0: VertexSet) -> SeedCertificate | None:
+    def test(z0: VertexSet) -> bool:
         if z0 in seen:
-            return None
+            return False
         seen.add(z0)
-        cert = seed_certificate(g, z0)
-        return cert if cert.valid else None
+        return _seed_start(g, d, z0) is not None
 
     # Single-vertex seeds, lowest degree first: guaranteed to satisfy the
     # ratio whenever some vertex has degree at most D-2.
-    d = g.max_degree()
     degrees, neighbors = g.degrees, g.neighbors
     for v in sorted(range(g.n), key=lambda v: (degrees[v], v)):
         if _futile_seeds(g, d, v):
             continue
         closed = g.closed_neighborhood(v)
         for u in neighbors[v]:
-            cert = test(closed & ~(1 << u))
-            if cert:
-                return cert
+            z0 = closed & ~(1 << u)
+            if test(z0):
+                return z0
 
     cyc = shortest_cycle(g)
     if cyc is None:  # min degree >= 2 here, so a cycle must exist
@@ -253,18 +238,18 @@ def find_seed(g: Graph) -> SeedCertificate | ExceptionalGraph:
     else:
         candidates = _short_girth_candidates(g, cyc)
     for z0 in candidates:
-        cert = test(z0)
-        if cert:
-            return cert
-    raise AssertionError("no structured seed certificate; graph should be exceptional")
+        if test(z0):
+            return z0
+    raise AssertionError("no structured seed; graph should be exceptional")
 
 
-def greedy_extend(g: Graph, cert: SeedCertificate) -> HeuristicResult:
-    """Grow a certified seed to a zero forcing set of size <= (D-2)n/(D-1).
+def greedy_extend(g: Graph, z0: VertexSet) -> HeuristicResult:
+    """Grow a seed z0 to a zero forcing set of size <= (D-2)n/(D-1).
 
+    z0 must meet the seed rule of ``_seed_start``; else ``ValueError``.
     Each round picks the smallest closure vertex with neighbors both
     inside and outside, adds all but the smallest outside neighbor, and
-    recloses; the certificate ratio and the no-isolated-vertex property
+    recloses; the seed ratio and the no-isolated-vertex property
     are rechecked every round.  No closure vertex is isolated, so the
     vertices with neighbors both inside and outside are the boundary the
     closure reports as stalled; the closure only grows, so each round
@@ -276,14 +261,13 @@ def greedy_extend(g: Graph, cert: SeedCertificate) -> HeuristicResult:
         raise ValueError("greedy extension needs maximum degree >= 3")
     if not is_connected(g):
         raise ValueError("greedy extension needs a connected graph")
-    if not cert.valid:
-        raise ValueError("greedy extension needs a valid seed certificate")
+    _check_subset(g, z0)
+    start = _seed_start(g, d, z0)
+    if start is None:
+        raise ValueError("greedy extension needs a seed meeting the seed rule")
     adj, full = g.adj, g.full_mask
-    z = cert.z0
-    # Recompute rather than trust the certificate's fields.
-    filled, boundary = closure_core(adj, z, z)
-    if not z or any(not adj[w] & filled for w in bits(filled)):
-        raise ValueError("greedy extension needs a valid seed certificate")
+    z = z0
+    filled, boundary = start
     while filled != full:
         v = (boundary & -boundary).bit_length() - 1
         out = adj[v] & ~filled
@@ -322,7 +306,7 @@ def greedy_ratio_zfs(g: Graph) -> HeuristicResult:
     the tag recorded on the result.
     """
     found = find_seed(g)
-    if isinstance(found, SeedCertificate):
+    if not isinstance(found, ExceptionalGraph):
         return greedy_extend(g, found)
     witness = _exceptional_witness(g, found)
     if not is_zero_forcing_set(g, witness):
@@ -570,10 +554,7 @@ def _ranked_min(candidates: list) -> tuple[str, tuple[int, ...], tuple[int, ...]
 
 def _order_cap(n: int) -> int:
     """The largest order an extension subgraph may have: 2*log2(n) + 1."""
-    cap = 1
-    while 1 << cap <= n * n:
-        cap += 1
-    return cap
+    return (n * n).bit_length()
 
 
 def find_extension_subgraph(g: Graph, f: VertexSet) -> ExtensionSubgraph:

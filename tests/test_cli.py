@@ -286,6 +286,24 @@ def test_undecodable_stdin_is_usage_error(capsys, monkeypatch):
         assert captured.out == ""
 
 
+def test_file_and_stdin_give_the_same_records_for_the_same_bytes(tmp_path, capsys, monkeypatch):
+    # Lines end at "\n" only: CRLF lines parse, and a lone "\r" stays
+    # inside its line, from a file as from stdin.
+    src = tmp_path / "g.g6"
+    results = []
+    for data in (b"Bg\r\nBg\r\n", b"Bg\rBg\n"):
+        src.write_bytes(data)
+        from_file = run(capsys, "verify", str(src))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        assert run(capsys, "verify", "-") == from_file
+        results.append(from_file)
+    (crlf_code, crlf_out, _), (cr_code, cr_out, _) = results
+    assert crlf_code == 0 and json.loads(crlf_out.splitlines()[-1])["graphs"] == 2
+    record, summary = (json.loads(line) for line in cr_out.splitlines())
+    assert cr_code == 2 and summary["graphs"] == 1
+    assert record["error"] == "byte 13 outside graph6 range 63..126 (byte offset 2)"
+
+
 def test_empty_input_usage_error(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(b"")))
     with pytest.raises(SystemExit) as exc:

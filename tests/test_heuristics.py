@@ -15,25 +15,36 @@ from zforce.families import ExceptionalGraph
 from zforce.graph import bit_list, bits, mask_of
 from zforce.heuristics import (
     ExtensionSubgraph,
-    SeedCertificate,
     _augmentation,
     _order_cap,
     find_extension_subgraph,
     find_seed,
     greedy_extend,
     greedy_ratio_zfs,
-    seed_certificate,
     subcubic_girth5_zfs,
 )
 from zforce.ratmath import subcubic_size_ok
 
 
-def test_seed_certificate_fields():
+def meets_seed_rule(g, z0):
+    """The seed rule, stated apart from the code under test: z0 is
+    non-empty, |closure| * (D-2) >= |z0| * (D-1), and no closure vertex
+    is isolated inside the closure."""
+    d = g.max_degree()
+    f = zf.closure_mask(g, z0)
+    return (z0 != 0 and f.bit_count() * (d - 2) >= z0.bit_count() * (d - 1)
+            and all(g.adj[v] & f for v in bits(f)))
+
+
+def test_seed_rule_rejects_a_petersen_neighbourhood_seed():
     g = zf.generate("petersen")
-    cert = seed_certificate(g, g.closed_neighborhood(0) ^ (g.adj[0] & -g.adj[0]))
-    assert cert.closure_size == cert.closure.bit_count() == 4
-    assert not cert.ratio_ok  # 4 filled over 3 seeds misses ratio 2 for max degree 3
-    assert cert.no_isolated
+    z0 = g.closed_neighborhood(0) ^ (g.adj[0] & -g.adj[0])
+    f = zf.closure_mask(g, z0)
+    assert f == g.closed_neighborhood(0)  # no isolated vertex, but ...
+    assert f.bit_count() * (3 - 2) < z0.bit_count() * (3 - 1)  # ... 4 filled over 3 seeds
+    assert not meets_seed_rule(g, z0)
+    with pytest.raises(ValueError, match="seed rule"):
+        greedy_extend(g, z0)
 
 
 def test_low_degree_seed_always_works(random_corpus):
@@ -44,18 +55,19 @@ def test_low_degree_seed_always_works(random_corpus):
             continue
         v = low[0]
         u = (g.adj[v] & -g.adj[v]).bit_length() - 1
-        cert = seed_certificate(g, g.closed_neighborhood(v) ^ (1 << u))
-        assert cert.valid
+        z0 = g.closed_neighborhood(v) ^ (1 << u)
+        assert meets_seed_rule(g, z0)
+        greedy_extend(g, z0)
 
 
 def test_find_seed_petersen_uses_cycle_construction():
     g = zf.generate("petersen")
-    cert = find_seed(g)
-    assert isinstance(cert, SeedCertificate)
-    assert cert.valid
+    z0 = find_seed(g)
+    assert not isinstance(z0, ExceptionalGraph)
+    assert meets_seed_rule(g, z0)
     # single closed neighborhoods can never satisfy the ratio on a cubic
     # girth-5 graph, so the seed must span a shortest cycle
-    assert cert.z0.bit_count() > 3
+    assert z0.bit_count() > 3
 
 
 def test_skipping_futile_seeds_changes_no_seed(random_corpus, cubic_tf_corpus, cubic_g5_corpus):
@@ -91,15 +103,15 @@ def test_find_seed_valid_on_corpus_without_full_fallback(random_corpus):
     for g in random_corpus:
         if zf.exceptional_tag(g) is not None:
             continue
-        cert = find_seed(g)
-        assert isinstance(cert, SeedCertificate) and cert.valid
+        z0 = find_seed(g)
+        assert not isinstance(z0, ExceptionalGraph) and meets_seed_rule(g, z0)
 
 
 def test_find_seed_fails_loudly_past_its_structured_phases(monkeypatch):
     # On the cube (cubic, girth 4) every single-vertex seed is futile, so
     # with no girth-3/4 candidate the search has nothing left to try.
     cube = zf.Graph.from_edges(8, [(v, v ^ b) for v in range(8) for b in (1, 2, 4) if v < v ^ b])
-    assert isinstance(find_seed(cube), SeedCertificate)
+    assert meets_seed_rule(cube, find_seed(cube))
     monkeypatch.setattr(heuristics, "_short_girth_candidates", lambda g, cyc: iter(()))
     with pytest.raises(AssertionError, match="no structured seed"):
         find_seed(cube)
@@ -107,21 +119,24 @@ def test_find_seed_fails_loudly_past_its_structured_phases(monkeypatch):
 
 def test_greedy_extend_requires_valid_certificate():
     g = zf.generate("petersen")
-    bad = seed_certificate(g, 1 << 0)
-    assert not bad.valid
-    with pytest.raises(ValueError):
-        greedy_extend(g, bad)
+    for bad in (0, 1 << 0):
+        assert not meets_seed_rule(g, bad)
+        with pytest.raises(ValueError, match="seed rule"):
+            greedy_extend(g, bad)
+    for out_of_range in (-1, 1 << g.n):
+        with pytest.raises(ValueError, match="out-of-range"):
+            greedy_extend(g, out_of_range)
 
 
 def test_greedy_extend_noop_when_seed_already_forces():
     g = zf.path(4)
     # max degree below 3 is outside the greedy contract
-    with pytest.raises(ValueError):
-        greedy_extend(zf.path(4), seed_certificate(zf.generate("petersen"), 1))
+    with pytest.raises(ValueError, match="maximum degree"):
+        greedy_extend(g, 1)
     star = zf.complete_bipartite(1, 3)
-    cert = seed_certificate(star, mask_of([2, 3]))
-    assert cert.valid and cert.closure == star.full_mask
-    res = greedy_extend(star, cert)
+    z0 = mask_of([2, 3])
+    assert meets_seed_rule(star, z0) and zf.closure_mask(star, z0) == star.full_mask
+    res = greedy_extend(star, z0)
     assert res.zfs == mask_of([2, 3])  # loop body never runs
 
 
@@ -165,10 +180,9 @@ def test_random_seed_fuzz_greedy(random_corpus):
         z0 = g.closed_neighborhood(v) ^ (1 << u)
         if rng.random() < 0.3:
             z0 |= 1 << rng.randrange(g.n)
-        cert = seed_certificate(g, z0)
-        if not cert.valid:
+        if not meets_seed_rule(g, z0):
             continue
-        res = greedy_extend(g, cert)  # internal checks assert the invariant
+        res = greedy_extend(g, z0)  # internal checks assert the invariant
         d = g.max_degree()
         assert zf.is_zero_forcing_set(g, res.zfs)
         assert res.size <= (d - 2) * g.n // (d - 1)
@@ -197,15 +211,14 @@ def test_greedy_extend_matches_the_full_recompute_loop(random_corpus, cubic_tf_c
     for g in random_corpus + cubic_tf_corpus + cubic_g5_corpus:
         if zf.exceptional_tag(g) is not None:
             continue
-        seeds = [find_seed(g).z0]
+        seeds = [find_seed(g)]
         for _ in range(3):  # random valid seeds start from other closures
             v = rng.randrange(g.n)
             u = bit_list(g.adj[v])[rng.randrange(g.degree(v))]
             seeds.append(g.closed_neighborhood(v) ^ (1 << u) | 1 << rng.randrange(g.n))
         for z0 in seeds:
-            cert = seed_certificate(g, z0)
-            if cert.valid:
-                assert greedy_extend(g, cert).zfs == reference_greedy_set(g, z0)
+            if meets_seed_rule(g, z0):
+                assert greedy_extend(g, z0).zfs == reference_greedy_set(g, z0)
                 checked += 1
     assert checked >= 600
 
@@ -215,9 +228,33 @@ def test_greedy_extend_rejects_a_seed_whose_closure_isolates_a_vertex():
     far = next(v for v in range(g.n) if not g.closed_neighborhood(0) >> v & 1)
     z0 = mask_of([0, far])  # two vertices, neither can force
     assert zf.closure_mask(g, z0) == z0
-    forged = SeedCertificate(z0, z0, 2, True, True)
-    with pytest.raises(ValueError, match="valid seed certificate"):
-        greedy_extend(g, forged)
+    assert not meets_seed_rule(g, z0)
+    with pytest.raises(ValueError, match="seed rule"):
+        greedy_extend(g, z0)
+    # A seed that meets the ratio: the hub 0 forces the path 4-5-6, which
+    # stalls at 7 and 8, the two neighbours of the seed vertex 9.
+    g = zf.Graph.from_edges(10, [(0, 1), (0, 2), (0, 3), (0, 4), (4, 5), (5, 6),
+                                 (6, 7), (6, 8), (9, 7), (9, 8)])
+    z0 = mask_of([0, 1, 2, 3, 9])
+    f = zf.closure_mask(g, z0)
+    assert f == mask_of([0, 1, 2, 3, 4, 5, 6, 9])
+    assert f.bit_count() * (4 - 2) >= z0.bit_count() * (4 - 1)
+    assert not g.adj[9] & f and not meets_seed_rule(g, z0)
+    with pytest.raises(ValueError, match="seed rule"):
+        greedy_extend(g, z0)
+
+
+def test_greedy_extend_rejects_a_full_closure_that_misses_the_ratio():
+    # The closure is already everything, with no vertex isolated, yet the
+    # seed is too large for the ratio: the result would break the bound.
+    petersen = zf.generate("petersen")
+    star = zf.complete_bipartite(1, 3)
+    for g, z0 in ((petersen, petersen.full_mask ^ 1), (star, star.full_mask)):
+        assert zf.closure_mask(g, z0) == g.full_mask
+        assert z0.bit_count() > Fraction((g.max_degree() - 2) * g.n, g.max_degree() - 1)
+        assert not meets_seed_rule(g, z0)
+        with pytest.raises(ValueError, match="seed rule"):
+            greedy_extend(g, z0)
 
 
 def test_greedy_extend_checks_newly_filled_vertices_for_isolation(cubic_g5_corpus,
@@ -225,13 +262,13 @@ def test_greedy_extend_checks_newly_filled_vertices_for_isolation(cubic_g5_corpu
     # A closure that hands back a stray vertex with no filled neighbor
     # must trip the no-isolated check of the round that produced it.
     g = max(cubic_g5_corpus, key=lambda g: g.n)
-    cert = find_seed(g)
+    z0 = find_seed(g)
     real = heuristics.closure_core
     strays = []
 
     def leaky(adj, filled, pending):
         closed, stalled = real(adj, filled, pending)
-        if filled != cert.z0 and not strays:  # the first round's reclose
+        if filled != z0 and not strays:  # the first round's reclose
             stray = next(v for v in range(g.n) if not (adj[v] | 1 << v) & closed)
             strays.append(stray)
             closed |= 1 << stray
@@ -239,7 +276,7 @@ def test_greedy_extend_checks_newly_filled_vertices_for_isolation(cubic_g5_corpu
 
     monkeypatch.setattr(heuristics, "closure_core", leaky)
     with pytest.raises(AssertionError, match="isolated"):
-        greedy_extend(g, cert)
+        greedy_extend(g, z0)
     assert strays
 
 

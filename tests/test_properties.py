@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 import zforce as zf  # noqa: E402
 from test_codec import reference_parse_graph6  # noqa: E402
 from test_graph import girth_oracle  # noqa: E402
-from test_heuristics import pattern_candidates  # noqa: E402
+from test_heuristics import meets_seed_rule, pattern_candidates  # noqa: E402
 from zforce.heuristics import (  # noqa: E402
     _augmentation,
     _futile_seeds,
@@ -260,8 +260,9 @@ def test_seeds_skipped_as_futile_fail_the_certificate(kind, data):
         if not _futile_seeds(g, d, v):
             continue
         for u in zf.bit_list(g.adj[v]):
-            cert = zf.seed_certificate(g, g.closed_neighborhood(v) & ~(1 << u))
-            assert cert.closure == g.closed_neighborhood(v) and not cert.valid
+            z0 = g.closed_neighborhood(v) & ~(1 << u)
+            assert zf.closure_mask(g, z0) == g.closed_neighborhood(v)
+            assert not meets_seed_rule(g, z0)
 
 
 @settings(max_examples=200, deadline=None)
