@@ -70,7 +70,6 @@ from .bounds import (
     TYPE_PROBABILITIES,
     VertexType,
     bounds_report,
-    classify_counts,
     classify_vertex,
     lower_girth_degree,
     upper_degree_ratio,

@@ -15,7 +15,7 @@ from fractions import Fraction
 from .exact import ExactResult, zero_forcing_number
 from .families import ExceptionalGraph, exceptional_tag
 from .graph import Graph, components, girth, is_connected
-from .heuristics import probability_classes, vertex_probability
+from .heuristics import expected_size, vertex_probability
 from .ratmath import fraction_json, girth5_regular_factor, harmonic, lower_girth_degree, subcubic_girth5_value
 
 PROVEN = "proven"
@@ -120,18 +120,6 @@ def _has_k33_component(g: Graph, conn: bool) -> bool:
     return any(comp.bit_count() == 6 for comp in components(g))
 
 
-def classify_counts(g: Graph) -> dict[int, int]:
-    """How many vertices of each type 1..7 the graph has.
-
-    Vertices that share the key of ``vertex_probability`` share its
-    value and so their type; one vertex per key is classified.
-    """
-    counts = {i: 0 for i in TYPE_PROBABILITIES}
-    for u, count in probability_classes(g):
-        counts[classify_vertex(g, u).index] += count
-    return counts
-
-
 # -- the full report ---------------------------------------------------------
 
 
@@ -220,8 +208,8 @@ def bounds_report(g: Graph, with_exact: bool = False,
           "graph is not cubic" if r != 3
           else "graph has a triangle" if gir == 3
           else "a component is K_3,3" if _has_k33_component(g, conn) else "",
-          lambda: sum(count * TYPE_PROBABILITIES[i] for i, count in classify_counts(g).items()))
-    entry("girth_degree", "lower", PROVEN if gir in (4, 5, 6) else CONJECTURED,
+          lambda: expected_size(g))
+    entry("girth_degree", "lower", PROVEN if gir in (3, 4, 5, 6) else CONJECTURED,
           "(g-2)(delta-2)+2 for finite girth, min degree >= 2",
           "" if gir is not None and delta >= 2 else "needs a cycle and minimum degree >= 2",
           lambda: lower_girth_degree(gir, delta))

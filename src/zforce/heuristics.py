@@ -19,6 +19,8 @@ guarantee:
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -390,50 +392,42 @@ def vertex_probability(g: Graph, u: int) -> Fraction:
     only in u, the size for I is 1 + the sum of their degrees, and the
     value is memoised on the sorted neighbor degrees alone.
     """
-    nbrs = g.neighbors[u]
-    d = len(nbrs)
-    if d > 20:
+    probability, [key] = _probability_keys(g, [u])
+    return probability(key)
+
+
+def _probability_keys(g: Graph, vertices: Sequence[int]):
+    """(probability of a key, the key of each vertex): what a vertex's
+    inclusion probability depends on.  The key is the sorted neighbor
+    degrees at girth >= 5 or on a forest, the union sizes otherwise; the
+    two kinds go to separate memos, since an isolated vertex's union
+    sizes (1,) are also a K2 vertex's neighbor degrees."""
+    degrees = g.degrees
+    if max(degrees[u] for u in vertices) > 20:
         raise ValueError("inclusion-exclusion limited to degree <= 20")
+    neighbors = g.neighbors
     if (g.girth or 5) >= 5:
-        return _probability_from_degrees(tuple(sorted(g.degrees[v] for v in nbrs)))
-    return _probability_from_signature(_signature(_union_sizes(g, u)))
-
-
-def _union_sizes(g: Graph, u: int) -> tuple[int, ...]:
-    """|{u} + N[I]| for each subset I of u's neighbors, indexed by subset."""
+        return _probability_from_degrees, [tuple(sorted([degrees[v] for v in neighbors[u]]))
+                                           for u in vertices]
     adj = g.adj
-    unions = [1 << u]
-    for v in g.neighbors[u]:
-        closed = adj[v] | 1 << v
-        unions += [m | closed for m in unions]
-    return tuple([m.bit_count() for m in unions])
+    keys = []
+    for u in vertices:
+        # |{u} + N[I]| for each subset I of u's neighbors, indexed by subset
+        unions = [1 << u]
+        for v in neighbors[u]:
+            closed = adj[v] | 1 << v
+            unions += [m | closed for m in unions]
+        keys.append(tuple([m.bit_count() for m in unions]))
+    return _probability_from_sizes, keys
 
 
-def probability_classes(g: Graph) -> list[tuple[int, int]]:
-    """(least vertex, vertex count) for each class of vertices that share
-    what ``vertex_probability`` depends on, and so its value, in vertex
-    order: the sorted neighbor degrees at girth >= 5 or on a forest, the
-    union sizes otherwise."""
-    if g.max_degree() > 20:
-        raise ValueError("inclusion-exclusion limited to degree <= 20")
-    if (g.girth or 5) >= 5:
-        degrees = g.degrees
-        keys = [tuple(sorted([degrees[v] for v in nbrs])) for nbrs in g.neighbors]
-    else:
-        keys = [_union_sizes(g, u) for u in range(g.n)]
-    classes: dict[tuple[int, ...], list[int]] = {}
-    for u, key in enumerate(keys):
-        entry = classes.setdefault(key, [u, 0])
-        entry[1] += 1
-    return [(u, count) for u, count in classes.values()]
-
-
-def _signature(sizes: list[int]) -> tuple[tuple[int, int], ...]:
-    """Sorted (size, signed count) pairs, for sizes indexed by subset."""
+def _probability_from_sizes(sizes: Sequence[int]) -> Fraction:
+    """The inclusion-exclusion sum for union sizes indexed by subset,
+    memoised on its signature: the sorted (size, signed count) pairs."""
     coeff: dict[int, int] = {}
     for s, size in enumerate(sizes):
         coeff[size] = coeff.get(size, 0) + (-1 if s.bit_count() & 1 else 1)
-    return tuple(sorted(coeff.items()))
+    return _probability_from_signature(tuple(sorted(coeff.items())))
 
 
 @lru_cache(maxsize=4096)
@@ -447,7 +441,7 @@ def _probability_from_degrees(degrees: tuple[int, ...]) -> Fraction:
     for s in range(1, len(sizes)):
         low = s & -s
         sizes[s] = sizes[s ^ low] + degrees[low.bit_length() - 1]
-    return _probability_from_signature(_signature(sizes))
+    return _probability_from_sizes(sizes)
 
 
 def expected_size(g: Graph) -> Fraction:
@@ -455,11 +449,11 @@ def expected_size(g: Graph) -> Fraction:
 
     This double sum is itself an upper bound for the zero forcing
     number, by the first moment principle.  Vertices sharing the key of
-    ``vertex_probability`` are counted together, and each class adds its
-    probability once, times its size.
+    ``vertex_probability`` share its value, so each key adds its
+    probability once, times its count.
     """
-    return sum((count * vertex_probability(g, u) for u, count in probability_classes(g)),
-               Fraction(0))
+    probability, keys = _probability_keys(g, range(g.n))
+    return sum((count * probability(key) for key, count in Counter(keys).items()), Fraction(0))
 
 
 # -- extension subgraphs and the subcubic girth-5 algorithm ----------------

@@ -25,7 +25,8 @@ def fraction_json(f: Fraction) -> dict:
 
 
 def lower_girth_degree(gir: int, delta: int) -> Fraction:
-    """(girth-2)*(delta-2) + 2; proven for girth in {4, 5, 6}."""
+    """(girth-2)*(delta-2) + 2; proven for girth in {3, 4, 5, 6}, where at
+    girth 3 it reads delta."""
     if gir < 3:
         raise ValueError("needs finite girth >= 3")
     if delta < 2:

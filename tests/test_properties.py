@@ -248,6 +248,7 @@ def test_memoised_vertex_probability_matches_direct_inclusion_exclusion(kind, da
     assert girth_ok(zf.girth(g))
     for u in range(g.n):
         assert zf.vertex_probability(g, u) == direct_vertex_probability(g, u)
+    assert zf.expected_size(g) == sum(direct_vertex_probability(g, u) for u in range(g.n))
 
 
 @pytest.mark.parametrize("kind", sorted(GRAPH_CLASSES))
