@@ -16,7 +16,14 @@ from .exact import ExactResult, zero_forcing_number
 from .families import ExceptionalGraph, exceptional_tag
 from .graph import Graph, components, girth, is_connected
 from .heuristics import expected_size, vertex_probability
-from .ratmath import fraction_json, girth5_regular_factor, harmonic, lower_girth_degree, subcubic_girth5_value
+from .ratmath import (
+    GIRTH_DEGREE_PROVEN,
+    fraction_json,
+    girth5_regular_factor,
+    harmonic,
+    lower_girth_degree,
+    subcubic_girth5_value,
+)
 
 PROVEN = "proven"
 CONJECTURED = "conjectured"
@@ -209,7 +216,7 @@ def bounds_report(g: Graph, with_exact: bool = False,
           else "graph has a triangle" if gir == 3
           else "a component is K_3,3" if _has_k33_component(g, conn) else "",
           lambda: expected_size(g))
-    entry("girth_degree", "lower", PROVEN if gir in (3, 4, 5, 6) else CONJECTURED,
+    entry("girth_degree", "lower", PROVEN if gir in GIRTH_DEGREE_PROVEN else CONJECTURED,
           "(g-2)(delta-2)+2 for finite girth, min degree >= 2",
           "" if gir is not None and delta >= 2 else "needs a cycle and minimum degree >= 2",
           lambda: lower_girth_degree(gir, delta))

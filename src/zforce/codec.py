@@ -91,18 +91,12 @@ def to_graph6(g: Graph) -> str:
         head = "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
     else:
         raise ValueError(f"n={n} exceeds the supported graph6 range")
-    stream = 0
-    nbits = n * (n - 1) // 2
-    pos = 0
-    for v in range(1, n):
-        col = g.adj[v]
-        for u in range(v):
-            if col >> u & 1:
-                stream |= 1 << (nbits - 1 - pos)
-            pos += 1
-    need = (nbits + 5) // 6
-    stream <<= need * 6 - nbits
-    body = "".join(chr((stream >> 6 * (need - 1 - k) & 63) + 63) for k in range(need))
+    # Column v holds bits (0,v), ..., (v-1,v): bit u of adj[v] below v,
+    # least significant first.
+    adj = g.adj
+    stream = "".join([format(adj[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, n)])
+    stream += "0" * (-len(stream) % 6)
+    body = "".join([chr(int(stream[k:k + 6], 2) + 63) for k in range(0, len(stream), 6)])
     return head + body
 
 

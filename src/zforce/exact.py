@@ -23,7 +23,7 @@ from itertools import combinations
 
 from .forcing import closure_core
 from .graph import Graph, VertexSet, bits, components, girth, mask_of
-from .ratmath import lower_girth_degree
+from .ratmath import GIRTH_DEGREE_PROVEN, lower_girth_degree
 
 
 @dataclass(frozen=True)
@@ -44,10 +44,12 @@ class ExactResult:
 
 
 def _component_lower_bound(g: Graph) -> int:
-    gir = girth(g)
-    if gir in (5, 6) and g.min_degree() >= 2:
-        return int(lower_girth_degree(gir, g.min_degree()))
-    return 1
+    """The proven girth-degree bound where it applies, else Z >= delta
+    (and >= 1, for an isolated vertex)."""
+    gir, delta = girth(g), g.min_degree()
+    if gir in GIRTH_DEGREE_PROVEN and delta >= 2:
+        return int(lower_girth_degree(gir, delta))
+    return max(delta, 1)
 
 
 def _witness(adj: tuple[int, ...], links: dict, s: VertexSet) -> VertexSet:

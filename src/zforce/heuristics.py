@@ -28,7 +28,7 @@ from itertools import combinations
 from random import Random
 
 from .exact import zero_forcing_number
-from .families import ExceptionalGraph, exceptional_tag
+from .families import ExceptionalGraph, _stream_seed, exceptional_tag
 from .forcing import (
     ForcingTrace,
     _check_subset,
@@ -59,7 +59,6 @@ class HeuristicResult:
     method: str
     bound_claim: Fraction
     graph: Graph = field(repr=False, kw_only=True)
-    sample_mean: Fraction | None = None
     exceptional: ExceptionalGraph | None = None
 
     @cached_property
@@ -75,8 +74,6 @@ class HeuristicResult:
         out["method"] = self.method
         out["size"] = self.size
         out["bound_claim"] = fraction_json(self.bound_claim)
-        if self.sample_mean is not None:
-            out["sample_mean"] = float(self.sample_mean)
         if self.exceptional is not None:
             out["exceptional"] = self.exceptional.value
         return out
@@ -110,8 +107,15 @@ def _closed_union_minus(g: Graph, keep: list[int], drop: VertexSet) -> VertexSet
     return m & ~drop
 
 
-def _girth5_seed(g: Graph, cyc: list[int]) -> VertexSet | None:
-    """Seed construction along a shortest cycle of length >= 5."""
+def _girth5_seed(g: Graph, cyc: list[int]) -> VertexSet:
+    """Seed construction along a shortest cycle of length >= 5.
+
+    Phase 1 of ``find_seed`` succeeds whenever some degree is at most
+    D-2, so here every degree is at least D-1.  The cycle has no chord,
+    so a cycle vertex of degree >= 3 has an off-cycle neighbor; a cycle
+    vertex of degree 2 forces D = 3; and not every cycle vertex has
+    degree 2, else the cycle is the whole connected graph and D = 2.
+    """
     glen = len(cyc)
     cmask = mask_of(cyc)
     if all(g.degree(v) >= 3 for v in cyc):
@@ -120,15 +124,9 @@ def _girth5_seed(g: Graph, cyc: list[int]) -> VertexSet | None:
         drop = 0
         for v in cyc:
             off = g.adj[v] & ~cmask
-            if not off:
-                return None
             drop |= off & -off
         return _closed_union_minus(g, cyc, drop)
-    if g.max_degree() != 3:
-        return None
     deg3 = [i for i, v in enumerate(cyc) if g.degree(v) == 3]
-    if not deg3:
-        return None
     # Rotate so the last cycle position carries degree 3.
     k = deg3[0]
     cyc = cyc[k + 1:] + cyc[: k + 1]
@@ -235,8 +233,7 @@ def find_seed(g: Graph) -> VertexSet | ExceptionalGraph:
     if cyc is None:  # min degree >= 2 here, so a cycle must exist
         raise AssertionError("connected graph with all degrees >= 2 has a cycle")
     if len(cyc) >= 5:
-        z0 = _girth5_seed(g, cyc)
-        candidates = [] if z0 is None else [z0]
+        candidates = [_girth5_seed(g, cyc)]
     else:
         candidates = _short_girth_candidates(g, cyc)
     for z0 in candidates:
@@ -325,12 +322,6 @@ def greedy_ratio_zfs(g: Graph) -> HeuristicResult:
 # -- the randomized construction ------------------------------------------
 
 
-def _trial_rng(seed: int, trial: int) -> Random:
-    # Stable substream derivation: int-only, so independent of hash
-    # randomization, and injective in (seed, trial).
-    return Random(((0x5AF0 << 64) + seed << 64) + trial)
-
-
 def random_zfs(g: Graph, trials: int, seed: int = 0) -> HeuristicResult:
     """Best zero forcing set among ``trials`` random vertex orders.
 
@@ -338,13 +329,12 @@ def random_zfs(g: Graph, trials: int, seed: int = 0) -> HeuristicResult:
     substream of ``seed`` and keeps the set induced by the order; the
     smallest result wins, ties broken by lexicographic vertex list, so
     the outcome is reproducible regardless of evaluation order.  The
-    sample mean of the trial sizes is recorded for comparison against
-    the exact expectation.
+    claim is the mean trial size, which the kept set never exceeds; the
+    exact expectation it estimates is ``expected_size``.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    best: VertexSet | None = None
-    best_key = None
+    best, best_size = g.full_mask, g.n  # every trial set is at most this
     total = 0
     base = list(range(g.n))
     # Random.shuffle's loop, drawing exactly as it does: getrandbits(k) with
@@ -352,7 +342,7 @@ def random_zfs(g: Graph, trials: int, seed: int = 0) -> HeuristicResult:
     # bit lengths computed once, it saves a Python call per position.
     draws = [(i, (i + 1).bit_length()) for i in range(g.n - 1, 0, -1)]
     for t in range(trials):
-        getrandbits = _trial_rng(seed, t).getrandbits
+        getrandbits = Random(_stream_seed(0x5AF0, seed, t)).getrandbits
         order = base[:]
         for i, k in draws:
             j = getrandbits(k)
@@ -362,22 +352,16 @@ def random_zfs(g: Graph, trials: int, seed: int = 0) -> HeuristicResult:
         z = _permutation_to_set(g, order)  # a shuffled range: no check needed
         size = z.bit_count()
         total += size
-        if best_key is not None and size > best_key[0]:
-            continue  # cannot win; skip building its key
-        key = (size, bit_list(z))
-        if best_key is None or key < best_key:
-            best, best_key = z, key
-    assert best is not None
-    try:
-        claim = expected_size(g)
-    except ValueError:  # degree beyond the enumeration limit
-        claim = Fraction(g.n)
+        # Of two sets of one size, the smaller sorted vertex list holds the
+        # least vertex of their symmetric difference.
+        d = z ^ best
+        if size < best_size or size == best_size and z & d & -d:
+            best, best_size = z, size
     return HeuristicResult(
         zfs=best,
         method="random",
-        bound_claim=claim,
+        bound_claim=Fraction(total, trials),
         graph=g,
-        sample_mean=Fraction(total, trials),
     )
 
 

@@ -24,9 +24,13 @@ def fraction_json(f: Fraction) -> dict:
     return {"num": f.numerator, "den": f.denominator, "decimal": float(f)}
 
 
+#: The girths at which ``lower_girth_degree`` is a proven lower bound.
+GIRTH_DEGREE_PROVEN = frozenset({3, 4, 5, 6})
+
+
 def lower_girth_degree(gir: int, delta: int) -> Fraction:
-    """(girth-2)*(delta-2) + 2; proven for girth in {3, 4, 5, 6}, where at
-    girth 3 it reads delta."""
+    """(girth-2)*(delta-2) + 2; proven for the girths in
+    ``GIRTH_DEGREE_PROVEN``, where at girth 3 it reads delta."""
     if gir < 3:
         raise ValueError("needs finite girth >= 3")
     if delta < 2:

@@ -143,12 +143,13 @@ def test_negative_budget_rejected():
 
 
 def test_budget_stop_reports_the_frontier_cost():
-    # K33 has girth 4, so the static bound is 1; a lower end of 4 = Z one
-    # closure short of the end comes from the search frontier
-    g = zf.complete_bipartite(3, 3)
+    # K1,4 is a tree, so the static bound is delta = 1; a lower end of
+    # 3 = Z one closure short of the end comes from the search frontier
+    g = zf.complete_bipartite(1, 4)
     full = zf.zero_forcing_number(g).nodes_explored
+    assert full == 39
     res = zf.zero_forcing_number(g, full - 1)
-    assert not res.complete and res.lower == 4 and res.upper == 5
+    assert not res.complete and res.lower == 3 and res.upper == 4
 
 
 def test_deterministic_witness(random_corpus):
