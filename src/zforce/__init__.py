@@ -3,85 +3,66 @@
 Simulate the forcing process, compute exact zero forcing numbers at desk
 scale, construct small zero forcing sets, and verify upper and lower
 bounds with exact rational arithmetic.
+
+Importing the package loads none of its submodules.  Each public name is
+looked up in the submodule that defines it on every access (PEP 562), so
+that submodule is imported on first use, and a name rebound there, by a
+test's monkeypatch for instance, shows through ``zforce.<name>`` too.
 """
 
-from .graph import (
-    Graph,
-    VertexSet,
-    bit_list,
-    bits,
-    components,
-    girth,
-    is_connected,
-    mask_of,
-    shortest_cycle,
-)
-from .codec import (
-    Graph6Error,
-    parse_edge_list,
-    parse_graph6,
-    to_dot,
-    to_edge_list,
-    to_graph6,
-)
-from .families import (
-    ExceptionalGraph,
-    complete,
-    complete_bipartite,
-    complete_bipartite_parts,
-    cycle,
-    exceptional_tag,
-    g1,
-    g2,
-    generate,
-    heawood,
-    path,
-    petersen,
-    random_gnp,
-    random_regular,
-    subdivided_k33,
-)
-from .forcing import (
-    ForcingStep,
-    ForcingTrace,
-    closure,
-    closure_mask,
-    is_zero_forcing_set,
-    permutation_to_set,
-    trace_violation,
-    verify_trace,
-)
-from .exact import ExactResult, brute_force_oracle, zero_forcing_number
-from .heuristics import (
-    ExtensionSubgraph,
-    HeuristicResult,
-    expected_size,
-    find_extension_subgraph,
-    find_seed,
-    greedy_extend,
-    greedy_ratio_zfs,
-    random_zfs,
-    subcubic_girth5_zfs,
-    vertex_probability,
-)
-from .bounds import (
-    BoundEntry,
-    BoundReport,
-    TYPE_PROBABILITIES,
-    VertexType,
-    bounds_report,
-    classify_vertex,
-    lower_girth_degree,
-    upper_degree_ratio,
-    upper_degree_refined,
-    upper_noncomplete,
-)
-from .ratmath import (
-    girth5_regular_factor,
-    harmonic,
-    log2_overestimate,
-    subcubic_girth5_value,
-    subcubic_size_ok,
-)
+from importlib import import_module as _import_module
 
+_SOURCES = {
+    "graph": (
+        "Graph", "VertexSet", "bit_list", "bits", "components", "girth",
+        "is_connected", "mask_of", "shortest_cycle",
+    ),
+    "codec": (
+        "Graph6Error", "parse_edge_list", "parse_graph6", "to_dot",
+        "to_edge_list", "to_graph6",
+    ),
+    "families": (
+        "ExceptionalGraph", "complete", "complete_bipartite",
+        "complete_bipartite_parts", "cycle", "exceptional_tag", "g1", "g2",
+        "generate", "heawood", "path", "petersen", "random_gnp",
+        "random_regular", "subdivided_k33",
+    ),
+    "forcing": (
+        "ForcingStep", "ForcingTrace", "closure", "closure_mask",
+        "is_zero_forcing_set", "permutation_to_set", "trace_violation",
+        "verify_trace",
+    ),
+    "exact": ("ExactResult", "brute_force_oracle", "zero_forcing_number"),
+    "heuristics": (
+        "ExtensionSubgraph", "HeuristicResult", "expected_size",
+        "find_extension_subgraph", "find_seed", "greedy_extend",
+        "greedy_ratio_zfs", "random_zfs", "subcubic_girth5_zfs",
+        "vertex_probability",
+    ),
+    "bounds": (
+        "BoundEntry", "BoundReport", "TYPE_PROBABILITIES", "VertexType",
+        "bounds_report", "classify_vertex", "upper_degree_ratio",
+        "upper_degree_refined", "upper_noncomplete",
+    ),
+    "ratmath": (
+        "girth5_regular_factor", "harmonic", "log2_overestimate",
+        "lower_girth_degree", "subcubic_girth5_value", "subcubic_size_ok",
+    ),
+}
+_MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}
+
+__all__ = list(_MODULE_OF)
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in _SOURCES:  # a submodule not imported yet, as in zforce.heuristics
+        return _import_module(f"{__name__}.{name}")
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_import_module(f"{__name__}.{module}"), name)
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_SOURCES) | set(__all__))

@@ -5,6 +5,10 @@ Single results print as pretty JSON, streams as JSON lines; --quiet
 prints bare numbers for scripting.  Exit codes are part of the stable
 interface: 0 ok, 2 usage, 3 closure fell short, 4 budget exhausted,
 5 proven-bound violation.
+
+Only the graph, codec and family modules load with this one; each
+subcommand imports what it runs, so ``zforce exact`` never compiles the
+heuristics or the bound catalog.
 """
 
 from __future__ import annotations
@@ -14,14 +18,16 @@ import json
 import os
 import sys
 
-from . import codec
-from .bounds import bounds_report
-from .exact import zero_forcing_number
+from .codec import (
+    looks_like_graph6,
+    parse_edge_list,
+    parse_graph6,
+    to_dot,
+    to_edge_list,
+    to_graph6,
+)
 from .families import family_names, generate
-from .forcing import closure
 from .graph import Graph, bit_list, mask_of
-from .heuristics import expected_size, greedy_ratio_zfs, random_zfs, subcubic_girth5_zfs
-from .ratmath import fraction_json
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -54,9 +60,9 @@ def _load_graph(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Gr
     first = next((line for line in text.split("\n") if line.strip()), None)
     if first is None:
         parser.error("empty graph input")
-    if codec.looks_like_graph6(first):
-        return codec.parse_graph6(first)
-    return codec.parse_edge_list(text)
+    if looks_like_graph6(first):
+        return parse_graph6(first)
+    return parse_edge_list(text)
 
 
 def _parse_set(spec: str, g: Graph, parser: argparse.ArgumentParser) -> int:
@@ -81,6 +87,8 @@ def _add_quiet(sub: argparse.ArgumentParser) -> None:
 
 
 def _cmd_closure(args, parser) -> int:
+    from .forcing import closure
+
     g = _load_graph(args, parser)
     z = _parse_set(args.set, g, parser)
     trace = closure(g, z)
@@ -95,6 +103,8 @@ def _cmd_closure(args, parser) -> int:
 
 
 def _cmd_exact(args, parser) -> int:
+    from .exact import zero_forcing_number
+
     g = _load_graph(args, parser)
     res = zero_forcing_number(g, args.budget)
     if args.quiet:
@@ -112,6 +122,8 @@ def _cmd_exact(args, parser) -> int:
 
 
 def _cmd_heuristic(args, parser) -> int:
+    from .heuristics import greedy_ratio_zfs, random_zfs, subcubic_girth5_zfs
+
     g = _load_graph(args, parser)
     if args.method == "greedy":
         res = greedy_ratio_zfs(g)
@@ -129,6 +141,8 @@ def _cmd_heuristic(args, parser) -> int:
 
 
 def _cmd_bounds(args, parser) -> int:
+    from .bounds import bounds_report
+
     if args.budget is not None:
         if args.budget < 0:
             parser.error(f"budget must be >= 0, got {args.budget}")
@@ -143,9 +157,9 @@ def _cmd_bounds(args, parser) -> int:
     return EXIT_VIOLATION if report.violations else EXIT_OK
 
 
-def _verify_line(lineno: int, line: str, exact_limit: int, hunt: bool) -> dict:
+def _verify_line(lineno: int, line: str, exact_limit: int, hunt: bool, bounds_report) -> dict:
     try:
-        g = codec.parse_graph6(line)
+        g = parse_graph6(line)
     except ValueError as exc:
         return {"line": lineno, "graph6": line.strip(), "error": str(exc)}
     with_exact = g.n <= exact_limit
@@ -165,6 +179,8 @@ def _verify_line(lineno: int, line: str, exact_limit: int, hunt: bool) -> dict:
 
 
 def _cmd_verify(args, parser) -> int:
+    from .bounds import bounds_report
+
     # Lines are numbered as in the file: blank lines are skipped without
     # renumbering.  Each line reaches the parser unstripped, so graph6
     # error offsets count its leading whitespace.
@@ -177,7 +193,7 @@ def _cmd_verify(args, parser) -> int:
     counterexamples = 0
     errors = 0
     for lineno, line in numbered:
-        record = _verify_line(lineno, line, args.exact_limit, args.hunt_conjecture)
+        record = _verify_line(lineno, line, args.exact_limit, args.hunt_conjecture, bounds_report)
         violations += len(record.get("violations", ()))
         errors += 1 if "error" in record else 0
         if record.get("conjecture_counterexample"):
@@ -200,15 +216,18 @@ def _cmd_verify(args, parser) -> int:
 def _cmd_gen(args, parser) -> int:
     g = generate(args.family, *args.params)
     if args.format == "graph6":
-        print(codec.to_graph6(g))
+        print(to_graph6(g))
     elif args.format == "edges":
-        sys.stdout.write(codec.to_edge_list(g))
+        sys.stdout.write(to_edge_list(g))
     else:
-        sys.stdout.write(codec.to_dot(g))
+        sys.stdout.write(to_dot(g))
     return EXIT_OK
 
 
 def _cmd_expect(args, parser) -> int:
+    from .heuristics import expected_size
+    from .ratmath import fraction_json
+
     g = _load_graph(args, parser)
     value = expected_size(g)
     if args.quiet:

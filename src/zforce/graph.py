@@ -57,17 +57,22 @@ class Graph:
             raise ValueError("graph needs at least one vertex")
         if len(self.adj) != self.n:
             raise ValueError(f"adjacency has {len(self.adj)} rows for n={self.n}")
+        adj = self.adj
         full = (1 << self.n) - 1
-        for v, row in enumerate(self.adj):
+        for v, row in enumerate(adj):
             if row & ~full:
                 raise ValueError(f"vertex {v} has a neighbor out of range")
             if row >> v & 1:
                 raise ValueError(f"loop at vertex {v}")
-        for v, nbrs in enumerate(self.neighbors):
-            for u in nbrs:
-                if not self.adj[u] >> v & 1:
+        for v, row in enumerate(adj):
+            bit = 1 << v
+            while row:
+                low = row & -row
+                u = low.bit_length() - 1
+                if not adj[u] & bit:
                     raise ValueError(f"asymmetric edge {v}-{u}")
-        object.__setattr__(self, "degrees", tuple(row.bit_count() for row in self.adj))
+                row ^= low
+        object.__setattr__(self, "degrees", tuple(row.bit_count() for row in adj))
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":

@@ -100,6 +100,12 @@ def _seed_start(g: Graph, d: int, z0: VertexSet) -> tuple[VertexSet, VertexSet] 
     return filled, boundary
 
 
+# Key on the graph's __dict__ under which find_seed leaves the seed it
+# returns with that seed's closure and boundary, so that greedy_extend on
+# the same seed does not close it again.
+_FOUND_SEED = "_found_seed"
+
+
 def _closed_union_minus(g: Graph, keep: list[int], drop: VertexSet) -> VertexSet:
     m = 0
     for v in keep:
@@ -215,7 +221,11 @@ def find_seed(g: Graph) -> VertexSet | ExceptionalGraph:
         if z0 in seen:
             return False
         seen.add(z0)
-        return _seed_start(g, d, z0) is not None
+        start = _seed_start(g, d, z0)
+        if start is None:
+            return False
+        g.__dict__[_FOUND_SEED] = z0, start
+        return True
 
     # Single-vertex seeds, lowest degree first: guaranteed to satisfy the
     # ratio whenever some vertex has degree at most D-2.
@@ -261,7 +271,8 @@ def greedy_extend(g: Graph, z0: VertexSet) -> HeuristicResult:
     if not is_connected(g):
         raise ValueError("greedy extension needs a connected graph")
     _check_subset(g, z0)
-    start = _seed_start(g, d, z0)
+    found = g.__dict__.get(_FOUND_SEED)
+    start = found[1] if found is not None and found[0] == z0 else _seed_start(g, d, z0)
     if start is None:
         raise ValueError("greedy extension needs a seed meeting the seed rule")
     adj, full = g.adj, g.full_mask

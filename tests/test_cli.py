@@ -190,15 +190,16 @@ def test_verify_named_corpus_is_clean(tmp_path, capsys, named_graphs):
 
 
 def test_hunt_reports_a_flagged_graph(capsys, monkeypatch):
-    # No small graph breaks n/3 + 2, so plant the catalog's flag.
-    import zforce.cli
+    # No small graph breaks n/3 + 2, so plant the catalog's flag where
+    # the verify command imports it from.
+    from zforce import bounds
 
-    real = zforce.cli.bounds_report
+    real = bounds.bounds_report
 
     def flagged(g, **kwargs):
         return dataclasses.replace(real(g, **kwargs), conjecture_flags=("third_plus_two",))
 
-    monkeypatch.setattr(zforce.cli, "bounds_report", flagged)
+    monkeypatch.setattr(bounds, "bounds_report", flagged)
     pet = zf.to_graph6(zf.generate("petersen"))
     code, out, err = run(capsys, "verify", "--g6", pet, "--hunt-conjecture")
     record, summary = (json.loads(line) for line in out.splitlines())

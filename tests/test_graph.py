@@ -28,6 +28,21 @@ def test_graph_validation_rejects_asymmetry_and_loops():
         Graph(0, ())
 
 
+def test_asymmetry_names_the_first_one_way_edge():
+    # 2 lists 0 but 0 does not list 2: an edge to an earlier vertex only.
+    with pytest.raises(ValueError, match="^asymmetric edge 2-0$"):
+        Graph(3, (0b010, 0b101, 0b011))
+    # Both kinds: 1-0 comes before 1-2 in vertex order.
+    with pytest.raises(ValueError, match="^asymmetric edge 1-0$"):
+        Graph(3, (0b000, 0b101, 0b000))
+
+
+def test_construction_leaves_neighbors_uncomputed():
+    g = zf.petersen()
+    assert "neighbors" not in vars(g)
+    assert g.neighbors[0] == (7, 8, 9)
+
+
 def test_from_edges_builds_symmetric_adjacency():
     g = Graph.from_edges(4, [(0, 1), (1, 2)])
     assert g.has_edge(1, 0) and g.has_edge(2, 1) and not g.has_edge(0, 2)

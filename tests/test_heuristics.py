@@ -223,6 +223,23 @@ def test_greedy_extend_matches_the_full_recompute_loop(random_corpus, cubic_tf_c
     assert checked >= 600
 
 
+def test_greedy_ratio_zfs_closes_its_seed_once(cubic_g5_corpus, monkeypatch):
+    real = heuristics.closure_core
+    for g in cubic_g5_corpus[:5]:
+        z0 = find_seed(zf.Graph(g.n, g.adj))  # on a copy, which keeps nothing on g
+        starts = []
+
+        def counted(adj, filled, pending):
+            starts.append(filled)
+            return real(adj, filled, pending)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(heuristics, "closure_core", counted)
+            res = greedy_ratio_zfs(g)
+        assert starts.count(z0) == 1
+        assert res.zfs == greedy_extend(zf.Graph(g.n, g.adj), z0).zfs
+
+
 def test_greedy_extend_rejects_a_seed_whose_closure_isolates_a_vertex():
     g = zf.generate("petersen")
     far = next(v for v in range(g.n) if not g.closed_neighborhood(0) >> v & 1)
@@ -608,8 +625,10 @@ def test_constructions_run_the_traced_closure_only_when_read(monkeypatch, named_
         calls.append(z)
         return real(g, z)
 
+    # The package itself resolves zforce.closure in zforce.forcing; setting
+    # the name on it would leave a stale binding behind after the undo.
     for name, module in list(sys.modules.items()):
-        if name.split(".")[0] == "zforce" and getattr(module, "closure", None) is real:
+        if name.startswith("zforce.") and vars(module).get("closure") is real:
             monkeypatch.setattr(module, "closure", counted)
     pet = zf.generate("petersen")
     results = [greedy_ratio_zfs(pet), greedy_ratio_zfs(named_graphs["K33"]),
