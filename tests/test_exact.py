@@ -100,10 +100,11 @@ def test_budget_interval_flagged():
 
 
 def test_lower_bound_seed_counts():
-    # the wavefront settles Petersen after a few hundred closures
+    # the wavefront settles Petersen after 65 closures; more would mean
+    # that dominated steps are run again
     res = zf.zero_forcing_number(zf.generate("petersen"))
     assert res.value == 5
-    assert res.nodes_explored < 500
+    assert res.nodes_explored == 65
 
 
 def _disjoint_union(*graphs):
@@ -147,9 +148,22 @@ def test_budget_stop_reports_the_frontier_cost():
     # 3 = Z one closure short of the end comes from the search frontier
     g = zf.complete_bipartite(1, 4)
     full = zf.zero_forcing_number(g).nodes_explored
-    assert full == 39
+    assert full == 27
     res = zf.zero_forcing_number(g, full - 1)
-    assert not res.complete and res.lower == 3 and res.upper == 4
+    assert not res.complete and res.lower == 3 and res.upper == 3
+    assert res.witness is None
+
+
+@pytest.mark.parametrize("name, z, budget", [("petersen", 5, 16), ("heawood", 6, 39)])
+def test_budget_stop_upper_end_is_the_pushed_full_set(name, z, budget):
+    # Once the full set has been pushed at cost c, its parent-link path is
+    # a zero forcing set of size c, so a stop reports c as the upper end;
+    # before that the upper end is n - 1.
+    g = zf.generate(name)
+    res = zf.zero_forcing_number(g, budget)
+    assert not res.complete and res.witness is None
+    assert (res.lower, res.upper) == (z, z)
+    assert zf.zero_forcing_number(g, 0).upper == g.n - 1
 
 
 def test_deterministic_witness(random_corpus):

@@ -86,6 +86,14 @@ def test_submodules_resolve_from_the_package():
     assert zf.heuristics is importlib.import_module("zforce.heuristics")
 
 
+def test_only_a_budget_stop_loads_the_rational_bounds():
+    # The exact solver needs ratmath (and with it fractions and decimal)
+    # only for the static lower bound of a stopped component.
+    solve = "import zforce as zf\nzf.zero_forcing_number(zf.path(3){})\n"
+    assert "zforce.ratmath" not in loaded_after(solve.format(""))
+    assert "zforce.ratmath" in loaded_after(solve.format(", 0"))
+
+
 @pytest.mark.parametrize("argv", [["exact", "--quiet", "--g6", "C~"],
                                   ["closure", "--quiet", "--g6", "C~", "--set", "0,1,2"],
                                   ["gen", "petersen"]])

@@ -1,8 +1,9 @@
 """Property tests: the exact solver and its budget intervals against the
 brute force oracle, the random-order set against its definition, the
 graph6 round trip and the decoder against the per-byte reference, the
-girth against the least edge detour, the closure laws, and the shortcuts
-of the construct path against the direct computations they skip."""
+girth against the least edge detour, the closure laws and the solver's
+restart from a stalled set, and the shortcuts of the construct path
+against the direct computations they skip."""
 
 import random
 from fractions import Fraction
@@ -17,6 +18,7 @@ import zforce as zf  # noqa: E402
 from test_codec import reference_parse_graph6  # noqa: E402
 from test_graph import girth_oracle  # noqa: E402
 from test_heuristics import meets_seed_rule, pattern_candidates  # noqa: E402
+from zforce.forcing import closure_core  # noqa: E402
 from zforce.heuristics import (  # noqa: E402
     _augmentation,
     _futile_seeds,
@@ -177,6 +179,20 @@ def test_closure_is_monotone_idempotent_and_traced(case):
     trace = zf.closure(g, small)
     assert trace.closure == closed
     assert zf.verify_trace(g, trace)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_graphs(max_n=10), st.data())
+def test_closure_restarts_from_the_stalled_set(g, data):
+    # The exact solver recloses s | U from stalled | U, not from s | U:
+    # the stalled set holds every vertex of s that still has an unfilled
+    # neighbour, so both starts reach the same closure and stalled set.
+    x = data.draw(st.integers(min_value=0, max_value=g.full_mask))
+    s, stalled = closure_core(g.adj, x, x)
+    for v in range(g.n):
+        u = (g.adj[v] | 1 << v) & ~s
+        if u:
+            assert closure_core(g.adj, s | u, stalled | u) == closure_core(g.adj, s | u, s | u)
 
 
 @st.composite
