@@ -171,10 +171,10 @@ def bounds_report(g: Graph, with_exact: bool = False,
                   budget: int | None = None) -> BoundReport:
     """Evaluate every catalog bound on g; optionally check against exact Z.
 
-    With the exact value present, any applicable proven entry on the
-    wrong side of it is reported in ``violations`` (an implementation
-    defect by construction), while conjectured entries land in
-    ``conjecture_flags`` (a discovery).
+    With the exact interval present, an applicable upper entry below its
+    lower end or lower entry above its upper end is on the wrong side of
+    Z: in ``violations`` if proven (an implementation defect by
+    construction), in ``conjecture_flags`` if conjectured (a discovery).
     """
     n, d = g.n, g.max_degree()
     delta = g.min_degree()
@@ -235,11 +235,11 @@ def bounds_report(g: Graph, with_exact: bool = False,
     exact = zero_forcing_number(g, budget) if with_exact else None
     violations = []
     flags = []
-    if exact is not None and exact.complete:
+    if exact is not None:
         for e in entries:
             if e.value is None:
                 continue
-            if e.value < exact.value if e.kind == "upper" else e.value > exact.value:
+            if e.value < exact.lower if e.kind == "upper" else e.value > exact.upper:
                 (violations if e.status == PROVEN else flags).append(e.name)
     return BoundReport(
         n, d, delta, gir, conn, r,

@@ -3,8 +3,8 @@
 Subcommands: closure, exact, heuristic, bounds, verify, gen, expect.
 Single results print as pretty JSON, streams as JSON lines; --quiet
 prints bare numbers for scripting.  Exit codes are part of the stable
-interface: 0 ok, 2 usage, 3 closure fell short, 4 budget exhausted,
-5 proven-bound violation.
+interface: 0 ok, 2 usage, 3 closure fell short, 4 the budget ran out
+before the exact interval closed, 5 proven-bound violation.
 
 Only the graph, codec and family modules load with this one; each
 subcommand imports what it runs, so ``zforce exact`` never compiles the
@@ -112,7 +112,7 @@ def _cmd_exact(args, parser) -> int:
     else:
         _emit({
             "value": res.value,
-            "witness": None if res.witness is None else bit_list(res.witness),
+            "witness": bit_list(res.witness),
             "nodes_explored": res.nodes_explored,
             "complete": res.complete,
             "lower": res.lower,

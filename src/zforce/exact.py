@@ -14,6 +14,12 @@ which the full vertex set is first popped.  The witness is rebuilt from
 the parent links of that path.  ``brute_force_oracle`` stays deliberately
 independent, as the check on this solver.
 
+Each component is searched in place, on the graph's own bitmasks.  A
+budget stop gives the same result shape: its lower end is the least
+frontier cost (or the static girth-degree bound, if larger), and its
+witness the parent-link path of the cheapest full set pushed so far,
+else the component minus one vertex; the upper end is that set's size.
+
 Two savings cut the work; the witness is still a minimum set.
 Dominance: while S is expanded, a step whose U lies inside the closure T
 of a step already run from S, at a cost no higher than its own, is
@@ -37,20 +43,21 @@ from heapq import heappop, heappush
 from itertools import combinations
 
 from .forcing import closure_core
-from .graph import Graph, VertexSet, bits, components, girth, mask_of
+from .graph import Graph, VertexSet, bit_list, components, girth, mask_of
 
 
 @dataclass(frozen=True)
 class ExactResult:
-    """Outcome of an exact computation.
+    """Outcome of an exact computation: lower <= Z <= upper.
 
-    ``value``/``witness`` are set when ``complete``; otherwise only the
-    interval [lower, upper] is known and ``value`` is None.
+    ``witness`` is always a zero forcing set of size ``upper``.
+    ``complete`` holds iff lower == upper, and then ``value`` is Z and
+    the witness a minimum set; otherwise ``value`` is None.
     ``nodes_explored`` counts closure invocations.
     """
 
     value: int | None
-    witness: VertexSet | None
+    witness: VertexSet
     nodes_explored: int
     complete: bool
     lower: int
@@ -82,13 +89,11 @@ def _witness(adj: tuple[int, ...], links: dict, s: VertexSet) -> VertexSet:
     return witness
 
 
-def _solve_connected(g: Graph, limit: int | None) -> tuple[int, int, VertexSet | None, int]:
-    """(lower, upper, witness, closures run).  Settled: lower == upper == Z
-    and a minimum witness.  Stopped after ``limit`` closures: witness None,
-    lower the least frontier cost, upper the least cost at which the full
-    set was pushed (its parent-link path is a zero forcing set of that
-    size), or n - 1 while it was not."""
-    n, adj, full = g.n, g.adj, g.full_mask
+def _solve_component(g: Graph, comp: VertexSet, limit: int | None) -> tuple[int, VertexSet, int]:
+    """(lower, witness, closures run) for the connected component ``comp``:
+    Z and a minimum witness when settled, else the stop's interval as in
+    the module docstring, after ``limit`` closures."""
+    adj, verts = g.adj, bit_list(comp)
     links = {0: (0, 0, -1)}  # closed set -> (cost, parent closed set, vertex)
     heap = [(0, 0, 0, 0)]  # (cost, insertion order, closed set, its stalled set)
     pushed = 1
@@ -97,10 +102,10 @@ def _solve_connected(g: Graph, limit: int | None) -> tuple[int, int, VertexSet |
         cost, _, s, stalled = heappop(heap)
         if links[s][0] < cost:
             continue  # a cheaper entry for s was already expanded
-        if s == full:
-            return cost, cost, _witness(adj, links, s), used
+        if s == comp:
+            return cost, _witness(adj, links, s), used
         reached = []  # (closure, cost) of each step run from s
-        for v in range(n):
+        for v in verts:
             u = (adj[v] | 1 << v) & ~s
             if not u:
                 continue
@@ -112,8 +117,11 @@ def _solve_connected(g: Graph, limit: int | None) -> tuple[int, int, VertexSet |
                 if used == limit:
                     # Steps cost at least 1, so nothing unsettled costs less.
                     lower = min(heap[0][0], cost + 1) if heap else cost + 1
-                    upper = links[full][0] if full in links else max(n - 1, 1)
-                    return lower, upper, None, used
+                    lower = max(lower, _component_lower_bound(g.induced(comp)[0]))
+                    # Else all but the highest vertex (a neighbour forces it),
+                    # or the whole of a single-vertex component.
+                    return lower, (_witness(adj, links, comp) if comp in links
+                                   else comp ^ 1 << verts[-1] or comp), used
                 used += 1
                 t, t_stalled = closure_core(adj, s | u, stalled | u)
                 reached.append((t, new_cost))
@@ -121,44 +129,33 @@ def _solve_connected(g: Graph, limit: int | None) -> tuple[int, int, VertexSet |
                     links[t] = (new_cost, s, v)
                     heappush(heap, (new_cost, pushed, t, t_stalled))
                     pushed += 1
-    raise AssertionError("the full vertex set is always reachable")  # pragma: no cover
+    raise AssertionError("the full component is always reachable")  # pragma: no cover
 
 
 def zero_forcing_number(g: Graph, budget: int | None = None) -> ExactResult:
-    """Exact Z(G) with a minimum witness, or a flagged interval on budget stop.
+    """Z(G) within [lower, upper], with a zero forcing set of size upper.
 
     Disconnected graphs decompose: forcing never crosses components, so
-    the number is the sum over components and the witness the union.
+    the bounds are sums over components and the witness the union.
     ``budget`` caps the number of closure invocations and must be at
-    least 0; when it runs out the result carries the interval proven so
-    far instead of a value, and ``nodes_explored`` counts the closures
-    that ran.  A stopped component's upper end is the cost of the
-    cheapest full set pushed so far, else n - 1; the result stays
-    incomplete even where the two ends meet.
+    least 0; ``nodes_explored`` counts the closures that ran.  Without a
+    stop, or once the two ends meet, the result is complete: ``value`` is
+    Z and the witness a minimum zero forcing set.
     """
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    used = lower = upper = witness = 0
-    complete = True
-    comps = components(g)
-    for comp in comps:
-        # A connected graph is its own component; skip the relabelled copy.
-        sub, labels = (g, range(g.n)) if len(comps) == 1 else g.induced(comp)
-        sub_lower, sub_upper, sub_witness, ran = _solve_connected(
-            sub, None if budget is None else budget - used)
+    used = lower = witness = 0
+    for comp in components(g):
+        # After a stop no budget is left: later components stop at once with
+        # their static bound and all but one vertex as witness.
+        sub_lower, sub_witness, ran = _solve_component(
+            g, comp, None if budget is None else budget - used)
         used += ran
-        upper += sub_upper
-        if sub_witness is None:
-            # After a stop no budget is left: later components return cost 1
-            # and keep their static bound.
-            complete = False
-            lower += max(sub_lower, _component_lower_bound(sub))
-        else:
-            witness |= mask_of(labels[i] for i in bits(sub_witness))
-            lower += sub_lower
-    if complete:
-        return ExactResult(lower, witness, used, True, lower, upper)
-    return ExactResult(None, None, used, False, lower, upper)
+        lower += sub_lower
+        witness |= sub_witness
+    upper = witness.bit_count()
+    complete = lower == upper
+    return ExactResult(lower if complete else None, witness, used, complete, lower, upper)
 
 
 def brute_force_oracle(g: Graph) -> ExactResult:

@@ -267,6 +267,26 @@ def test_report_sandwich_on_corpus(random_corpus):
         assert report.violations == ()
 
 
+@pytest.mark.parametrize("lower, upper, violations, flags", [
+    (6, 9, ("exception_free", "regular_girth5", "cubic_trianglefree"), ("third_plus_two",)),
+    (3, 4, ("girth_degree",), ()),
+    (5, 5, (), ()),
+])
+def test_sandwich_checks_both_ends_of_the_interval(monkeypatch, lower, upper, violations, flags):
+    # An upper entry is judged against the lower end and a lower entry
+    # against the upper end, whether or not the interval has closed.
+    import zforce.bounds
+
+    def fake(g, budget=None):
+        complete = lower == upper
+        return zf.ExactResult(lower if complete else None, (1 << upper) - 1, 0,
+                              complete, lower, upper)
+
+    monkeypatch.setattr(zforce.bounds, "zero_forcing_number", fake)
+    report = bounds_report(zf.generate("petersen"), with_exact=True)
+    assert (report.violations, report.conjecture_flags) == (violations, flags)
+
+
 def test_report_json_shape():
     payload = bounds_report(zf.cycle(5), with_exact=True).to_json_dict()
     assert payload["stats"]["girth"] == 5

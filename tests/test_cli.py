@@ -62,6 +62,23 @@ def test_exact_budget_exit(capsys):
                        "--budget", "2")
     payload = json.loads(out)
     assert code == 4 and not payload["complete"] and payload["value"] is None
+    assert len(payload["witness"]) == payload["upper"]
+
+
+def test_exact_budget_exits_4_only_while_the_interval_is_open(capsys):
+    # Petersen reaches its full set at cost 5 within 16 closures, so the
+    # interval closes; at 10 it has not, and the witness is n - 1 vertices.
+    petersen = zf.to_graph6(zf.generate("petersen"))
+    code, out, _ = run(capsys, "exact", "--g6", petersen, "--budget", "16")
+    payload = json.loads(out)
+    assert code == 0 and payload["complete"] and payload["value"] == 5
+    assert len(payload["witness"]) == 5
+    code, out, _ = run(capsys, "exact", "--g6", petersen, "--budget", "10")
+    payload = json.loads(out)
+    assert code == 4 and (payload["lower"], payload["upper"]) == (5, 9)
+    assert len(payload["witness"]) == 9
+    code, out, _ = run(capsys, "bounds", "--g6", petersen, "--exact", "--budget", "10", "--quiet")
+    assert code == 0 and out.strip() == "0"
 
 
 def test_exact_budget_zero_runs_no_closure(capsys):

@@ -63,8 +63,8 @@ def test_disconnected_graphs_decompose():
 
 
 def test_connected_graph_is_solved_without_relabelling(random_corpus, monkeypatch):
-    # A connected graph is solved in place; with an isolated vertex added
-    # it goes through the relabelled copy, and the witness must agree.
+    # Every component is solved in place, and a full solve never builds an
+    # induced copy; with an isolated vertex added the witness gains it.
     plain = [(g, zf.zero_forcing_number(g).witness) for g in random_corpus[:40]]
 
     def no_copy(self, mask):
@@ -74,9 +74,8 @@ def test_connected_graph_is_solved_without_relabelling(random_corpus, monkeypatc
         patch.setattr(zf.Graph, "induced", no_copy)
         for g, witness in plain:
             assert zf.zero_forcing_number(g).witness == witness
-    for g, witness in plain:
-        padded = zf.Graph(g.n + 1, g.adj + (0,))
-        assert zf.zero_forcing_number(padded).witness == witness | 1 << g.n
+            padded = zf.Graph(g.n + 1, g.adj + (0,))
+            assert zf.zero_forcing_number(padded).witness == witness | 1 << g.n
 
 
 def test_edgeless_needs_everything():
@@ -90,13 +89,23 @@ def test_edge_implies_not_all_needed(random_corpus):
             assert zf.zero_forcing_number(g).value <= g.n - 1
 
 
+def assert_sound(g, res, z):
+    """The interval holds Z, its witness forces g at size upper, and the
+    result is complete exactly when the two ends meet, with value Z."""
+    assert res.lower <= z <= res.upper, res
+    assert res.witness.bit_count() == res.upper
+    assert zf.is_zero_forcing_set(g, res.witness)
+    assert res.complete == (res.lower == res.upper) == (res.value is not None)
+    if res.complete:
+        assert res.value == z
+
+
 def test_budget_interval_flagged():
     g = zf.generate("petersen")
     res = zf.zero_forcing_number(g, budget=3)
-    assert not res.complete
-    assert res.value is None and res.witness is None
-    assert res.lower <= 5 <= res.upper
-    assert res.nodes_explored >= 3
+    assert not res.complete and res.value is None
+    assert_sound(g, res, 5)
+    assert res.nodes_explored == 3
 
 
 def test_lower_bound_seed_counts():
@@ -130,12 +139,8 @@ def test_every_budget_gives_a_sound_interval(random_corpus):
         for budget in range(0, full + 1):
             res = zf.zero_forcing_number(g, budget)
             assert res.nodes_explored == budget  # only the closures that ran
-            assert res.lower <= z <= res.upper, (budget, res)
-            assert res.complete == (res.value is not None) == (budget == full)
-            if res.complete:
-                assert res.value == z and zf.is_zero_forcing_set(g, res.witness)
-            else:
-                assert res.witness is None
+            assert_sound(g, res, z)
+            assert res.complete or budget < full
 
 
 def test_negative_budget_rejected():
@@ -145,25 +150,29 @@ def test_negative_budget_rejected():
 
 def test_budget_stop_reports_the_frontier_cost():
     # K1,4 is a tree, so the static bound is delta = 1; a lower end of
-    # 3 = Z one closure short of the end comes from the search frontier
+    # 3 = Z one closure short of the end comes from the search frontier,
+    # and the full set already pushed closes the interval
     g = zf.complete_bipartite(1, 4)
     full = zf.zero_forcing_number(g).nodes_explored
     assert full == 27
     res = zf.zero_forcing_number(g, full - 1)
-    assert not res.complete and res.lower == 3 and res.upper == 3
-    assert res.witness is None
+    assert res.complete and res.lower == res.upper == res.value == 3
+    assert_sound(g, res, 3)
 
 
 @pytest.mark.parametrize("name, z, budget", [("petersen", 5, 16), ("heawood", 6, 39)])
 def test_budget_stop_upper_end_is_the_pushed_full_set(name, z, budget):
     # Once the full set has been pushed at cost c, its parent-link path is
-    # a zero forcing set of size c, so a stop reports c as the upper end;
-    # before that the upper end is n - 1.
+    # a zero forcing set of size c, so a stop reports c as the upper end
+    # with that path as witness; before that the upper end is n - 1.
     g = zf.generate(name)
     res = zf.zero_forcing_number(g, budget)
-    assert not res.complete and res.witness is None
-    assert (res.lower, res.upper) == (z, z)
-    assert zf.zero_forcing_number(g, 0).upper == g.n - 1
+    assert res.nodes_explored == budget < zf.zero_forcing_number(g).nodes_explored
+    assert res.complete and (res.lower, res.upper, res.value) == (z, z, z)
+    assert_sound(g, res, z)
+    start = zf.zero_forcing_number(g, 0)
+    assert not start.complete and start.upper == g.n - 1
+    assert_sound(g, start, z)
 
 
 def test_deterministic_witness(random_corpus):

@@ -1,5 +1,5 @@
 """Property tests: the exact solver and its budget intervals against the
-brute force oracle, the random-order set against its definition, the
+brute force oracle and the bound catalog, the random-order set against its definition, the
 graph6 round trip and the decoder against the per-byte reference, the
 girth against the least edge detour, the closure laws and the solver's
 restart from a stalled set, and the shortcuts of the construct path
@@ -16,8 +16,10 @@ from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 import zforce as zf  # noqa: E402
 from test_codec import reference_parse_graph6  # noqa: E402
+from test_exact import assert_sound  # noqa: E402
 from test_graph import girth_oracle  # noqa: E402
 from test_heuristics import meets_seed_rule, pattern_candidates  # noqa: E402
+from zforce.bounds import bounds_report  # noqa: E402
 from zforce.forcing import closure_core  # noqa: E402
 from zforce.heuristics import (  # noqa: E402
     _augmentation,
@@ -52,11 +54,11 @@ def test_budget_intervals_contain_the_oracle_value(data):
     budget = data.draw(st.integers(min_value=0, max_value=full + 3))
     z = zf.brute_force_oracle(g).value
     res = zf.zero_forcing_number(g, budget)
-    assert res.lower <= z <= res.upper
-    assert res.complete == (res.value is not None) == (budget >= full)
+    assert_sound(g, res, z)
+    assert res.complete or budget < full
     assert res.nodes_explored == min(budget, full)
-    if res.complete:
-        assert res.value == z and zf.is_zero_forcing_set(g, res.witness)
+    # Sound ends never put a correct proven entry on the wrong side.
+    assert bounds_report(g, with_exact=True, budget=budget).violations == ()
 
 
 @st.composite
