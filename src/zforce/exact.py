@@ -10,15 +10,16 @@ S | U.  When v has an unfilled neighbour w the step costs |U| - 1: fill
 U except w and let v force w.  Otherwise U = {v} and the step costs 1.
 A zero forcing set of size k yields a path of cost at most k, and a path
 of cost c yields a zero forcing set of size c, so Z(G) is the cost at
-which the full vertex set is first popped.  The witness is rebuilt from
-the parent links of that path.  ``brute_force_oracle`` stays deliberately
+which the full vertex set is first popped.  Each closed set's record
+carries a zero forcing set of its cost that reaches it, so the full set's
+record holds the witness.  ``brute_force_oracle`` stays deliberately
 independent, as the check on this solver.
 
 Each component is searched in place, on the graph's own bitmasks.  A
 budget stop gives the same result shape: its lower end is the least
 frontier cost (or the static girth-degree bound, if larger), and its
-witness the parent-link path of the cheapest full set pushed so far,
-else the component minus one vertex; the upper end is that set's size.
+witness the set recorded for the full set if it was pushed, else the
+component minus one vertex; the upper end is that set's size.
 
 Two savings cut the work; the witness is still a minimum set.
 Dominance: while S is expanded, a step whose U lies inside the closure T
@@ -77,39 +78,35 @@ def _component_lower_bound(g: Graph) -> int:
     return max(delta, 1)
 
 
-def _witness(adj: tuple[int, ...], links: dict, s: VertexSet) -> VertexSet:
-    """Replay the parent links back from s; each step adds U minus one neighbour."""
-    witness = 0
-    while s:
-        _, prev, v = links[s]
-        u = (adj[v] | 1 << v) & ~prev
-        nbrs = adj[v] & u
-        witness |= u ^ (nbrs & -nbrs)  # nbrs == 0 leaves U = {v}
-        s = prev
-    return witness
-
-
 def _solve_component(g: Graph, comp: VertexSet, limit: int | None) -> tuple[int, VertexSet, int]:
     """(lower, witness, closures run) for the connected component ``comp``:
     Z and a minimum witness when settled, else the stop's interval as in
-    the module docstring, after ``limit`` closures."""
+    the module docstring, after ``limit`` closures.
+
+    Each closed set keeps one record: its cost, a zero forcing set of that
+    cost that reaches it, and its stalled set.  A step by v adds U minus
+    v's least unfilled neighbour (U itself when v has none) to the parent's
+    set.  Steps cost at least 1, so an expanded set's record is final.
+    """
     adj, verts = g.adj, bit_list(comp)
-    links = {0: (0, 0, -1)}  # closed set -> (cost, parent closed set, vertex)
-    heap = [(0, 0, 0, 0)]  # (cost, insertion order, closed set, its stalled set)
+    records = {0: (0, 0, 0)}  # closed set -> (cost, forcing set reaching it, stalled set)
+    heap = [(0, 0, 0)]  # (cost, insertion order, closed set)
     pushed = 1
     used = 0
     while heap:
-        cost, _, s, stalled = heappop(heap)
-        if links[s][0] < cost:
+        cost, _, s = heappop(heap)
+        s_cost, zfs, stalled = records[s]
+        if s_cost < cost:
             continue  # a cheaper entry for s was already expanded
         if s == comp:
-            return cost, _witness(adj, links, s), used
+            return cost, zfs, used
         reached = []  # (closure, cost) of each step run from s
         for v in verts:
             u = (adj[v] | 1 << v) & ~s
             if not u:
                 continue
-            new_cost = cost + (u.bit_count() - 1 if adj[v] & u else 1)
+            nbrs = adj[v] & u
+            new_cost = cost + (u.bit_count() - 1 if nbrs else 1)
             for t, t_cost in reached:
                 if not u & ~t and t_cost <= new_cost:
                     break  # dominated: that step reached a superset, no dearer
@@ -117,17 +114,17 @@ def _solve_component(g: Graph, comp: VertexSet, limit: int | None) -> tuple[int,
                 if used == limit:
                     # Steps cost at least 1, so nothing unsettled costs less.
                     lower = min(heap[0][0], cost + 1) if heap else cost + 1
-                    lower = max(lower, _component_lower_bound(g.induced(comp)[0]))
+                    lower = max(lower, _component_lower_bound(g.induced(comp)))
                     # Else all but the highest vertex (a neighbour forces it),
                     # or the whole of a single-vertex component.
-                    return lower, (_witness(adj, links, comp) if comp in links
+                    return lower, (records[comp][1] if comp in records
                                    else comp ^ 1 << verts[-1] or comp), used
                 used += 1
                 t, t_stalled = closure_core(adj, s | u, stalled | u)
                 reached.append((t, new_cost))
-                if t not in links or new_cost < links[t][0]:
-                    links[t] = (new_cost, s, v)
-                    heappush(heap, (new_cost, pushed, t, t_stalled))
+                if t not in records or new_cost < records[t][0]:
+                    records[t] = (new_cost, zfs | u ^ (nbrs & -nbrs), t_stalled)
+                    heappush(heap, (new_cost, pushed, t))
                     pushed += 1
     raise AssertionError("the full component is always reachable")  # pragma: no cover
 

@@ -133,19 +133,23 @@ def _stream_seed(tag: int, *parts: int) -> int:
     return out
 
 
-def random_gnp(n: int, p: float, seed: int, *, min_girth: int | None = None,
-               max_tries: int = 10000) -> Graph:
-    """Erdos-Renyi sample; optionally resample until girth >= min_girth."""
+def _shuffle(items: list, getrandbits) -> None:
+    """Shuffle ``items`` in place, drawing exactly as ``Random.shuffle`` does
+    from the generator of ``getrandbits``, but without its per-draw calls."""
+    for i in range(len(items) - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        items[i], items[j] = items[j], items[i]
+
+
+def random_gnp(n: int, p: float, seed: int) -> Graph:
+    """Erdos-Renyi sample: each pair is an edge with probability p."""
     if n < 1 or not 0.0 <= p <= 1.0:
         raise ValueError("need n >= 1 and 0 <= p <= 1")
     rng = random.Random(_stream_seed(0x6E70, n, seed))
-    for _ in range(max_tries):
-        edges = [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p]
-        g = Graph.from_edges(n, edges)
-        if min_girth is None or (girth(g) or n + 1) >= min_girth:
-            return g
-    raise ValueError(f"no girth->={min_girth} sample for n={n}, p={p} "
-                     f"within {max_tries} tries")
+    return Graph.from_edges(n, [(u, v) for u, v in combinations(range(n), 2) if rng.random() < p])
 
 
 def random_regular(n: int, r: int, seed: int, *, min_girth: int | None = None,
@@ -163,20 +167,17 @@ def random_regular(n: int, r: int, seed: int, *, min_girth: int | None = None,
     stubs0 = [v for v in range(n) for _ in range(r)]
     for _ in range(max_tries):
         stubs = stubs0[:]
-        rng.shuffle(stubs)
+        _shuffle(stubs, rng.getrandbits)
         rows = [0] * n
-        ok = True
         for u, v in zip(stubs[::2], stubs[1::2]):
             if u == v or rows[u] >> v & 1:
-                ok = False
                 break
             rows[u] |= 1 << v
             rows[v] |= 1 << u
-        if not ok:
-            continue
-        g = Graph(n, tuple(rows))
-        if min_girth is None or (girth(g) or n + 1) >= min_girth:
-            return g
+        else:
+            g = Graph(n, tuple(rows))
+            if min_girth is None or (girth(g) or n + 1) >= min_girth:
+                return g
     raise ValueError(f"no simple {r}-regular sample for n={n} within {max_tries} tries")
 
 
@@ -243,4 +244,4 @@ def exceptional_tag(g: Graph) -> ExceptionalGraph | None:
 def _smoothed(g: Graph, w: int) -> Graph:
     """g with the degree-2 vertex w deleted and its two neighbors joined."""
     joined = Graph.from_edges(g.n, g.edges() + [g.neighbors[w]])
-    return joined.induced(g.full_mask ^ 1 << w)[0]
+    return joined.induced(g.full_mask ^ 1 << w)

@@ -131,14 +131,14 @@ class Graph:
         full = self.full_mask
         return Graph(self.n, tuple((full ^ row) & ~(1 << v) for v, row in enumerate(self.adj)))
 
-    def induced(self, mask: VertexSet) -> tuple["Graph", list[int]]:
-        """Induced subgraph on ``mask`` plus the old labels of its vertices."""
+    def induced(self, mask: VertexSet) -> "Graph":
+        """Induced subgraph on ``mask``; its vertex i is ``bit_list(mask)[i]``."""
         keep = bit_list(mask)
         if not keep:
             raise ValueError("induced subgraph needs at least one vertex")
         index = {v: i for i, v in enumerate(keep)}
         rows = [mask_of(index[u] for u in bits(self.adj[v] & mask)) for v in keep]
-        return Graph(len(keep), tuple(rows)), keep
+        return Graph(len(keep), tuple(rows))
 
     # -- cached invariants ---------------------------------------------
 

@@ -28,7 +28,7 @@ from itertools import combinations
 from random import Random
 
 from .exact import zero_forcing_number
-from .families import ExceptionalGraph, _stream_seed, exceptional_tag
+from .families import ExceptionalGraph, _shuffle, _stream_seed, exceptional_tag
 from .forcing import (
     ForcingTrace,
     _check_subset,
@@ -348,18 +348,9 @@ def random_zfs(g: Graph, trials: int, seed: int = 0) -> HeuristicResult:
     best, best_size = g.full_mask, g.n  # every trial set is at most this
     total = 0
     base = list(range(g.n))
-    # Random.shuffle's loop, drawing exactly as it does: getrandbits(k) with
-    # k = (i + 1).bit_length(), drawn again while above i.  Inline, with the
-    # bit lengths computed once, it saves a Python call per position.
-    draws = [(i, (i + 1).bit_length()) for i in range(g.n - 1, 0, -1)]
     for t in range(trials):
-        getrandbits = Random(_stream_seed(0x5AF0, seed, t)).getrandbits
         order = base[:]
-        for i, k in draws:
-            j = getrandbits(k)
-            while j > i:
-                j = getrandbits(k)
-            order[i], order[j] = order[j], order[i]
+        _shuffle(order, Random(_stream_seed(0x5AF0, seed, t)).getrandbits)
         z = _permutation_to_set(g, order)  # a shuffled range: no check needed
         size = z.bit_count()
         total += size

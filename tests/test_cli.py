@@ -269,6 +269,31 @@ def test_verify_output_is_byte_identical_on_the_fixed_batch(capsys):
     assert out == (data / "verify_batch.jsonl").read_text()
 
 
+def test_exact_output_is_byte_identical_on_the_fixed_batch(capsys):
+    # tests/data/exact_batch.jsonl: the `zforce exact` JSON of each graph of
+    # tests/data/verify_batch.g6 that parses with n <= 12, unbudgeted and at
+    # budgets 0, 10 and 50, with the graph and budget in front.  It pins the
+    # witnesses, the closure counts and the budget intervals: a change to
+    # them must be stated on purpose.
+    data = Path(__file__).resolve().parent / "data"
+    lines = []
+    for line in (data / "verify_batch.g6").read_text().splitlines():
+        try:
+            g = zf.parse_graph6(line)
+        except ValueError:
+            continue
+        if g.n > 12:
+            continue
+        for budget in (None, 0, 10, 50):
+            argv = ["exact", "--g6", line] + ([] if budget is None else ["--budget", str(budget)])
+            code, out, _ = run(capsys, *argv)
+            payload = json.loads(out)
+            assert code == (0 if payload["complete"] else 4)
+            lines.append(json.dumps({"graph6": line, "budget": budget, **payload}) + "\n")
+    assert len(lines) == 300
+    assert "".join(lines) == (data / "exact_batch.jsonl").read_text()
+
+
 def test_file_and_stdin_sources(tmp_path, capsys, monkeypatch):
     src = tmp_path / "g.el"
     src.write_text("3\n0 1\n1 2\n")

@@ -49,7 +49,7 @@ def test_g2_shape_and_complement_structure():
     sizes = sorted(c.bit_count() for c in comps)
     assert sizes == [3, 4]
     for c in comps:
-        sub, _ = comp.induced(c)
+        sub = comp.induced(c)
         assert sub.is_regular() == 2
         assert zf.girth(sub) == sub.n
 

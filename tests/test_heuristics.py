@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -11,8 +12,8 @@ import pytest
 import zforce as zf
 from test_forcing import with_isolated_vertex
 from zforce import forcing, heuristics
-from zforce.families import ExceptionalGraph, _stream_seed
-from zforce.graph import bit_list, bits, mask_of
+from zforce.families import ExceptionalGraph, _shuffle, _stream_seed
+from zforce.graph import bit_list, bits, mask_of, shortest_cycle
 from zforce.heuristics import (
     ExtensionSubgraph,
     _augmentation,
@@ -68,6 +69,33 @@ def test_find_seed_petersen_uses_cycle_construction():
     # single closed neighborhoods can never satisfy the ratio on a cubic
     # girth-5 graph, so the seed must span a shortest cycle
     assert z0.bit_count() > 3
+
+
+# Subcubic graphs of girth >= 5 in which no single closed neighbourhood
+# minus a vertex is a seed, and the shortest cycle has degree-2 vertices:
+# the Heawood graph with its seven chords subdivided, and two graphs found
+# by searching random cubic graphs with some edges deleted or subdivided.
+# Keyed by graph6, the value is the number of degree-2 vertices on the
+# shortest cycle.
+DEGREE_2_CYCLE_SEEDS = {
+    "ThCGGC@?G?_@?@_?o_@A?AC?AC?@AA?O?OA?": 1,
+    "IA_a^ASK?": 1,
+    "N?E@IP_cCAG_A_K??E?": 2,
+}
+
+
+def test_girth5_seed_with_degree_2_cycle_vertices():
+    for code, degree_2 in DEGREE_2_CYCLE_SEEDS.items():
+        g = zf.parse_graph6(code)
+        assert g.max_degree() == 3 and zf.girth(g) >= 5
+        assert not any(meets_seed_rule(g, g.closed_neighborhood(v) & ~(1 << u))
+                       for v in range(g.n) for u in g.neighbors[v])
+        cyc = shortest_cycle(g)
+        assert sum(g.degree(v) == 2 for v in cyc) == degree_2
+        z0 = find_seed(g)
+        assert z0 == heuristics._girth5_seed(g, cyc) and meets_seed_rule(g, z0)
+        res = greedy_ratio_zfs(g)
+        assert zf.is_zero_forcing_set(g, res.zfs) and res.size <= g.n // 2, code
 
 
 def test_skipping_futile_seeds_changes_no_seed(random_corpus, cubic_tf_corpus, cubic_g5_corpus):
@@ -316,7 +344,7 @@ def test_random_zfs_deterministic():
 
 
 def test_random_zfs_keeps_the_least_size_then_vertex_list(random_corpus, cubic_g5_corpus):
-    # random_zfs draws its orders inline; they must be Random.shuffle's, on
+    # random_zfs draws its orders with _shuffle; they must be Random.shuffle's, on
     # the smallest graphs and around isolated vertices too.  A single trial
     # leaves no choice, so it pins the first draw of each graph exactly.
     small = [zf.Graph(1, (0,)), zf.complete(2), zf.Graph(2, (0, 0)),
@@ -332,6 +360,56 @@ def test_random_zfs_keeps_the_least_size_then_vertex_list(random_corpus, cubic_g
         assert res.zfs == best
         assert res.bound_claim == Fraction(sum(z.bit_count() for z in sets), 32)
         assert zf.random_zfs(g, trials=1, seed=3).zfs == sets[0]
+
+
+def test_shuffle_draws_as_random_shuffle():
+    # Same order and same generator state after, for every length around
+    # the powers of two where the bit length of the draw steps down.
+    for n in range(70):
+        for seed in range(3):
+            want, got = list(range(n)), list(range(n))
+            reference, rng = random.Random(seed), random.Random(seed)
+            reference.shuffle(want)
+            _shuffle(got, rng.getrandbits)
+            assert got == want and rng.getstate() == reference.getstate(), (n, seed)
+
+
+def regular_by_random_shuffle(n, r, seed, min_girth, max_tries):
+    """random_regular's pairing loop as it was written with Random.shuffle:
+    the reference for its draws and its error messages."""
+    if n < 1 or r < 0 or r >= n:
+        raise ValueError("need 0 <= r < n")
+    if n * r % 2:
+        raise ValueError("n * r must be even")
+    rng = random.Random(_stream_seed(0x7067, n, r, seed))
+    stubs0 = [v for v in range(n) for _ in range(r)]
+    for _ in range(max_tries):
+        stubs = stubs0[:]
+        rng.shuffle(stubs)
+        rows = [0] * n
+        for u, v in zip(stubs[::2], stubs[1::2]):
+            if u == v or rows[u] >> v & 1:
+                break
+            rows[u] |= 1 << v
+            rows[v] |= 1 << u
+        else:
+            g = zf.Graph(n, tuple(rows))
+            if min_girth is None or (zf.girth(g) or n + 1) >= min_girth:
+                return g
+    raise ValueError(f"no simple {r}-regular sample for n={n} within {max_tries} tries")
+
+
+def test_random_regular_draws_as_random_shuffle():
+    for n in range(1, 19):
+        for r in range(5):
+            for seed, min_girth in ((0, None), (1, 4), (2, 5)):
+                try:
+                    want = regular_by_random_shuffle(n, r, seed, min_girth, 40)
+                except ValueError as exc:
+                    with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                        zf.random_regular(n, r, seed, min_girth=min_girth, max_tries=40)
+                else:
+                    assert zf.random_regular(n, r, seed, min_girth=min_girth, max_tries=40) == want
 
 
 def test_random_zfs_requires_trials():
@@ -579,6 +657,45 @@ def test_subcubic_zfs_contract_on_corpus(cubic_g5_corpus, exact_z):
         assert res.size <= g.n - 1
         if g.n <= 12:
             assert res.size >= exact_z(g)
+
+
+# Subcubic graphs of girth >= 5 whose runs take the rarer steps: an
+# augmentation of kind b along a path of more than three vertices, one of
+# kind e, and the finishing step that adds one pendant of each boundary
+# vertex.  Found by searching random cubic girth-5 graphs, some with edges
+# deleted and pendant paths attached.
+RARE_SUBCUBIC_STEPS = {
+    "O?iE?gGKB??L@COGa??C?": "b",
+    "g???_O??_?C?????c?A??????@[O???__?_?@O_C???A?_?_a????G????G??`@??O?@?CG??_???A?O???"
+    "CC??_???_AO?`?O??G?@@????O?AO?B???_G???CC@@?C???": "e",
+    "P@?@?WC_AO`CCOT?GC@?G?C?": "pendant",
+}
+
+
+def test_subcubic_zfs_takes_its_rarer_steps_within_the_bound(monkeypatch):
+    patterns, closures = [], []
+
+    def augmentation(g, f, h):
+        patterns.append(h)
+        return _augmentation(g, f, h)
+
+    def closure_core(adj, z, stalled):
+        closures.append(forcing.closure_core(adj, z, stalled))
+        return closures[-1]
+
+    monkeypatch.setattr(heuristics, "_augmentation", augmentation)
+    monkeypatch.setattr(heuristics, "closure_core", closure_core)
+    for code, step in RARE_SUBCUBIC_STEPS.items():
+        g = zf.parse_graph6(code)
+        patterns.clear()
+        res = subcubic_girth5_zfs(g)  # per-step contracts assert internally
+        assert zf.is_zero_forcing_set(g, res.zfs) and subcubic_size_ok(g.n, res.size), code
+        if step == "b":
+            assert any(h.kind == "b" and len(h.path) > 3 for h in patterns)
+        elif step == "e":
+            assert any(h.kind == "e" for h in patterns)
+        else:
+            assert closures[-1][0] != g.full_mask  # the last augmentation left pendants
 
 
 def test_subcubic_zfs_on_trees_with_degree_three():
