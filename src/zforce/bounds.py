@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .exact import ExactResult, zero_forcing_number
 from .families import ExceptionalGraph, exceptional_tag
-from .graph import Graph, components, girth, is_connected
+from .graph import Graph, girth, is_connected
 from .heuristics import expected_size, vertex_probability
 from .ratmath import (
     GIRTH_DEGREE_PROVEN,
@@ -118,13 +118,11 @@ def classify_vertex(g: Graph, u: int) -> VertexType:
     return VertexType(index, p)
 
 
-def _has_k33_component(g: Graph, conn: bool) -> bool:
+def _has_k33_component(g: Graph) -> bool:
     # The caller has checked that g is cubic and triangle-free.  The only
     # cubic graphs on six vertices are K_3,3 and the prism, which has
     # triangles, so a six-vertex component is K_3,3.
-    if conn:
-        return g.n == 6
-    return any(comp.bit_count() == 6 for comp in components(g))
+    return any(comp.bit_count() == 6 for comp in g.components)
 
 
 # -- the full report ---------------------------------------------------------
@@ -214,7 +212,7 @@ def bounds_report(g: Graph, with_exact: bool = False,
     entry("cubic_trianglefree", "upper", PROVEN, "sum of type probabilities, cubic triangle-free",
           "graph is not cubic" if r != 3
           else "graph has a triangle" if gir == 3
-          else "a component is K_3,3" if _has_k33_component(g, conn) else "",
+          else "a component is K_3,3" if _has_k33_component(g) else "",
           lambda: expected_size(g))
     entry("girth_degree", "lower", PROVEN if gir in GIRTH_DEGREE_PROVEN else CONJECTURED,
           "(g-2)(delta-2)+2 for finite girth, min degree >= 2",

@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from typing import BinaryIO, Iterator
 
 from .codec import (
     looks_like_graph6,
@@ -178,22 +179,47 @@ def _verify_line(lineno: int, line: str, exact_limit: int, hunt: bool, bounds_re
     return record
 
 
+def _verify_input(args: argparse.Namespace) -> Iterator[tuple[int, str]]:
+    """The non-blank input lines of ``verify`` with their line numbers,
+    read lazily from ``--g6``, the source file or stdin."""
+    if args.g6 is not None:
+        yield 1, args.g6
+    elif args.source is None or args.source == "-":
+        yield from _numbered_lines(sys.stdin.buffer)
+    else:
+        with open(args.source, "rb") as handle:
+            yield from _numbered_lines(handle)
+
+
+def _numbered_lines(handle: BinaryIO) -> Iterator[tuple[int, str]]:
+    """The non-blank lines of a binary stream, numbered as in the file.
+
+    Lines end at a line feed only (a lone carriage return stays inside
+    its line), and blank lines are skipped without renumbering.  Each line is decoded as strict ASCII, as
+    ``_read_source`` decodes a whole input, and keeps its leading
+    whitespace, so graph6 error offsets count it.
+    """
+    offset = 0
+    for lineno, raw in enumerate(handle, start=1):
+        try:
+            line = raw.decode("ascii")
+        except UnicodeDecodeError as exc:
+            # Name the offset from the start of the input, not of the line.
+            raise ValueError(f"'ascii' codec can't decode byte 0x{raw[exc.start]:02x} "
+                             f"in position {offset + exc.start}: {exc.reason}") from None
+        offset += len(raw)
+        line = line.removesuffix("\n")
+        if line.strip():
+            yield lineno, line
+
+
 def _cmd_verify(args, parser) -> int:
     from .bounds import bounds_report
 
-    # Lines are numbered as in the file: blank lines are skipped without
-    # renumbering.  Each line reaches the parser unstripped, so graph6
-    # error offsets count its leading whitespace.
-    if args.g6 is not None:
-        numbered = [(1, args.g6)]
-    else:
-        numbered = [(lineno, line) for lineno, line
-                    in enumerate(_read_source(args).split("\n"), start=1) if line.strip()]
-    violations = 0
-    counterexamples = 0
-    errors = 0
-    for lineno, line in numbered:
+    graphs = violations = counterexamples = errors = 0
+    for lineno, line in _verify_input(args):
         record = _verify_line(lineno, line, args.exact_limit, args.hunt_conjecture, bounds_report)
+        graphs += 1
         violations += len(record.get("violations", ()))
         errors += 1 if "error" in record else 0
         if record.get("conjecture_counterexample"):
@@ -202,7 +228,7 @@ def _cmd_verify(args, parser) -> int:
         print(json.dumps(record))
     summary = {
         "summary": True,
-        "graphs": len(numbered),
+        "graphs": graphs,
         "violations": violations,
         "parse_errors": errors,
         "conjecture_counterexamples": counterexamples,

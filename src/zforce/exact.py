@@ -44,7 +44,7 @@ from heapq import heappop, heappush
 from itertools import combinations
 
 from .forcing import closure_core
-from .graph import Graph, VertexSet, bit_list, components, girth, mask_of
+from .graph import Graph, VertexSet, bit_list, girth, mask_of
 
 
 @dataclass(frozen=True)
@@ -142,7 +142,7 @@ def zero_forcing_number(g: Graph, budget: int | None = None) -> ExactResult:
     if budget is not None and budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
     used = lower = witness = 0
-    for comp in components(g):
+    for comp in g.components:
         # After a stop no budget is left: later components stop at once with
         # their static bound and all but one vertex as witness.
         sub_lower, sub_witness, ran = _solve_component(

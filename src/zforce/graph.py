@@ -44,8 +44,10 @@ class Graph:
     ``adj[v]`` is the open neighborhood of v as a bitmask.  Instances are
     immutable value types: hashable, safe to share between workers, and
     every derived quantity is a pure function of the fields.  Costly
-    invariants are cached in the instance ``__dict__`` on first use; the
-    cache takes no part in equality or hashing.
+    invariants (``components``, ``neighbors``, ``girth``,
+    ``shortest_cycle``) are cached in the instance ``__dict__`` on first
+    use, and nothing else is kept there; the cache takes no part in
+    equality or hashing.
     """
 
     n: int
@@ -141,6 +143,17 @@ class Graph:
         return Graph(len(keep), tuple(rows))
 
     # -- cached invariants ---------------------------------------------
+
+    @cached_property
+    def components(self) -> tuple[VertexSet, ...]:
+        """Connected components as bitmasks, ordered by smallest vertex (cached)."""
+        comps = []
+        remaining = self.full_mask
+        while remaining:
+            comp = reachable(self, (remaining & -remaining).bit_length() - 1)
+            comps.append(comp)
+            remaining ^= comp
+        return tuple(comps)
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -256,19 +269,12 @@ def reachable(g: Graph, start: int, within: VertexSet | None = None) -> VertexSe
 
 
 def is_connected(g: Graph) -> bool:
-    return reachable(g, 0) == g.full_mask
+    return len(g.components) == 1
 
 
 def components(g: Graph) -> list[VertexSet]:
-    """Connected components as bitmasks, ordered by smallest vertex."""
-    comps = []
-    remaining = g.full_mask
-    while remaining:
-        start = (remaining & -remaining).bit_length() - 1
-        comp = reachable(g, start)
-        comps.append(comp)
-        remaining &= ~comp
-    return comps
+    """Connected components as bitmasks, ordered by smallest vertex (cached)."""
+    return list(g.components)
 
 
 def girth(g: Graph) -> int | None:

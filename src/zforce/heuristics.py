@@ -100,12 +100,6 @@ def _seed_start(g: Graph, d: int, z0: VertexSet) -> tuple[VertexSet, VertexSet] 
     return filled, boundary
 
 
-# Key on the graph's __dict__ under which find_seed leaves the seed it
-# returns with that seed's closure and boundary, so that greedy_extend on
-# the same seed does not close it again.
-_FOUND_SEED = "_found_seed"
-
-
 def _closed_union_minus(g: Graph, keep: list[int], drop: VertexSet) -> VertexSet:
     m = 0
     for v in keep:
@@ -206,6 +200,13 @@ def find_seed(g: Graph) -> VertexSet | ExceptionalGraph:
     suite repeats it for n <= 7).  A graph that gets past them raises
     ``AssertionError``.
     """
+    found = _find_seed(g)
+    return found if isinstance(found, ExceptionalGraph) else found[0]
+
+
+def _find_seed(g: Graph) -> tuple[VertexSet, VertexSet, VertexSet] | ExceptionalGraph:
+    """``find_seed``, with the seed's closure and stalled boundary, as
+    ``_seed_start`` found them, returned beside the seed."""
     if not is_connected(g):
         raise ValueError("seed search needs a connected graph")
     d = g.max_degree()
@@ -217,15 +218,12 @@ def find_seed(g: Graph) -> VertexSet | ExceptionalGraph:
 
     seen: set[int] = set()
 
-    def test(z0: VertexSet) -> bool:
+    def test(z0: VertexSet) -> tuple[VertexSet, VertexSet, VertexSet] | None:
         if z0 in seen:
-            return False
+            return None
         seen.add(z0)
         start = _seed_start(g, d, z0)
-        if start is None:
-            return False
-        g.__dict__[_FOUND_SEED] = z0, start
-        return True
+        return None if start is None else (z0, *start)
 
     # Single-vertex seeds, lowest degree first: guaranteed to satisfy the
     # ratio whenever some vertex has degree at most D-2.
@@ -235,9 +233,9 @@ def find_seed(g: Graph) -> VertexSet | ExceptionalGraph:
             continue
         closed = g.closed_neighborhood(v)
         for u in neighbors[v]:
-            z0 = closed & ~(1 << u)
-            if test(z0):
-                return z0
+            found = test(closed & ~(1 << u))
+            if found:
+                return found
 
     cyc = shortest_cycle(g)
     if cyc is None:  # min degree >= 2 here, so a cycle must exist
@@ -247,8 +245,9 @@ def find_seed(g: Graph) -> VertexSet | ExceptionalGraph:
     else:
         candidates = _short_girth_candidates(g, cyc)
     for z0 in candidates:
-        if test(z0):
-            return z0
+        found = test(z0)
+        if found:
+            return found
     raise AssertionError("no structured seed; graph should be exceptional")
 
 
@@ -259,11 +258,7 @@ def greedy_extend(g: Graph, z0: VertexSet) -> HeuristicResult:
     Each round picks the smallest closure vertex with neighbors both
     inside and outside, adds all but the smallest outside neighbor, and
     recloses; the seed ratio and the no-isolated-vertex property
-    are rechecked every round.  No closure vertex is isolated, so the
-    vertices with neighbors both inside and outside are the boundary the
-    closure reports as stalled; the closure only grows, so each round
-    restarts from that boundary plus the added vertices and checks only
-    the newly filled vertices for isolation.
+    are rechecked every round.
     """
     d = g.max_degree()
     if d < 3:
@@ -271,13 +266,23 @@ def greedy_extend(g: Graph, z0: VertexSet) -> HeuristicResult:
     if not is_connected(g):
         raise ValueError("greedy extension needs a connected graph")
     _check_subset(g, z0)
-    found = g.__dict__.get(_FOUND_SEED)
-    start = found[1] if found is not None and found[0] == z0 else _seed_start(g, d, z0)
+    start = _seed_start(g, d, z0)
     if start is None:
         raise ValueError("greedy extension needs a seed meeting the seed rule")
+    return _extend(g, d, z0, *start)
+
+
+def _extend(g: Graph, d: int, z: VertexSet, filled: VertexSet, boundary: VertexSet) -> HeuristicResult:
+    """``greedy_extend`` past its checks, from the seed z, its closure and
+    that closure's stalled boundary.
+
+    No closure vertex is isolated, so the vertices with neighbors both
+    inside and outside are the boundary the closure reports as stalled;
+    the closure only grows, so each round restarts from that boundary
+    plus the added vertices and checks only the newly filled vertices
+    for isolation.
+    """
     adj, full = g.adj, g.full_mask
-    z = z0
-    filled, boundary = start
     while filled != full:
         v = (boundary & -boundary).bit_length() - 1
         out = adj[v] & ~filled
@@ -315,9 +320,9 @@ def greedy_ratio_zfs(g: Graph) -> HeuristicResult:
     the known minimum witness for that family is returned instead, with
     the tag recorded on the result.
     """
-    found = find_seed(g)
+    found = _find_seed(g)
     if not isinstance(found, ExceptionalGraph):
-        return greedy_extend(g, found)
+        return _extend(g, g.max_degree(), *found)
     witness = _exceptional_witness(g, found)
     if not is_zero_forcing_set(g, witness):
         raise AssertionError(f"bad exceptional witness for {found}")

@@ -329,6 +329,25 @@ def test_undecodable_stdin_is_usage_error(capsys, monkeypatch):
         assert captured.out == ""
 
 
+def test_verify_streams_the_records_before_an_undecodable_line(tmp_path, capsys, monkeypatch):
+    # Lines are read one at a time: the records before the bad line print,
+    # and the error names the bad byte's offset from the start of the input.
+    data = b"Bg\n\nBg\n \xff\n"
+    src = tmp_path / "bad.g6"
+    src.write_bytes(data)
+    outs = []
+    for source in (str(src), "-"):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", source])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "'ascii' codec can't decode byte 0xff in position 8" in captured.err
+        outs.append(captured.out)
+    assert outs[0] == outs[1]
+    assert [json.loads(line)["line"] for line in outs[0].splitlines()] == [1, 3]
+
+
 def test_file_and_stdin_give_the_same_records_for_the_same_bytes(tmp_path, capsys, monkeypatch):
     # Lines end at "\n" only: CRLF lines parse, and a lone "\r" stays
     # inside its line, from a file as from stdin.

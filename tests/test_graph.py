@@ -68,6 +68,57 @@ def test_two_disjoint_edges_not_connected():
     assert len(zf.components(g)) == 2
 
 
+def bfs_components(g):
+    """Components by a plain per-vertex BFS over neighbor lists."""
+    label = [-1] * g.n
+    comps = []
+    for root in range(g.n):
+        if label[root] != -1:
+            continue
+        label[root] = len(comps)
+        queue, comp = [root], 0
+        while queue:
+            v = queue.pop()
+            comp |= 1 << v
+            for u in bit_list(g.adj[v]):
+                if label[u] == -1:
+                    label[u] = label[root]
+                    queue.append(u)
+        comps.append(comp)
+    return comps
+
+
+def test_components_match_a_bfs_split(random_corpus):
+    graphs = []
+    for i, g in enumerate(random_corpus[:150]):
+        graphs.append(g)
+        # Padded with isolated vertices, and beside a copy of itself.
+        graphs.append(Graph(g.n + 1 + i % 3, g.adj + (0,) * (1 + i % 3)))
+        graphs.append(Graph(2 * g.n, g.adj + tuple(row << g.n for row in g.adj)))
+    for g in graphs:
+        want = bfs_components(g)
+        assert g.components == tuple(want)
+        assert zf.components(g) == want
+        assert zf.is_connected(g) == (len(want) == 1)
+
+
+def test_bounds_report_finds_the_components_once(random_corpus, monkeypatch):
+    from zforce import graph
+    real = graph.reachable
+    for g in random_corpus[:20] + [zf.generate("petersen")]:
+        g = Graph(g.n, g.adj)  # a fresh copy, nothing cached yet
+        calls = []
+
+        def counted(h, start, within=None):
+            calls.append(h)
+            return real(h, start, within)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(graph, "reachable", counted)
+            zf.bounds_report(g, with_exact=True)
+        assert sum(h is g for h in calls) <= 1
+
+
 def test_complement_involution():
     g = zf.generate("petersen")
     assert g.complement().complement() == g

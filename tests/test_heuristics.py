@@ -268,6 +268,19 @@ def test_greedy_ratio_zfs_closes_its_seed_once(cubic_g5_corpus, monkeypatch):
         assert res.zfs == greedy_extend(zf.Graph(g.n, g.adj), z0).zfs
 
 
+def test_constructions_keep_nothing_but_invariants_on_the_graph(cubic_g5_corpus):
+    from functools import cached_property
+    cached = {name for name, attr in vars(zf.Graph).items() if isinstance(attr, cached_property)}
+    allowed = {"n", "adj", "degrees"} | cached
+    for g in cubic_g5_corpus[:4]:
+        greedy_ratio_zfs(g)
+        subcubic_girth5_zfs(g)
+        zf.random_zfs(g, 4, 0)
+        zf.expected_size(g)
+        zf.bounds_report(g, with_exact=True)
+        assert set(vars(g)) <= allowed
+
+
 def test_greedy_extend_rejects_a_seed_whose_closure_isolates_a_vertex():
     g = zf.generate("petersen")
     far = next(v for v in range(g.n) if not g.closed_neighborhood(0) >> v & 1)
