@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exact import ExactResult, zero_forcing_number
+from .exact import ExactResult
 from .families import ExceptionalGraph, exceptional_tag
 from .graph import Graph, girth, is_connected
 from .heuristics import expected_size, vertex_probability
@@ -165,13 +165,14 @@ class BoundReport:
         }
 
 
-def bounds_report(g: Graph, with_exact: bool = False,
-                  budget: int | None = None) -> BoundReport:
-    """Evaluate every catalog bound on g; optionally check against exact Z.
+def bounds_report(g: Graph, exact: ExactResult | None = None) -> BoundReport:
+    """Evaluate every catalog bound on g; check them against ``exact`` if given.
 
-    With the exact interval present, an applicable upper entry below its
-    lower end or lower entry above its upper end is on the wrong side of
-    Z: in ``violations`` if proven (an implementation defect by
+    The caller passes the interval: ``exact`` is an ExactResult whose
+    ends [lower, upper] hold Z(g), such as ``zero_forcing_number(g,
+    budget)``.  The catalog never solves.  An applicable upper entry below
+    the lower end or lower entry above the upper end is on the wrong side
+    of Z: in ``violations`` if proven (an implementation defect by
     construction), in ``conjecture_flags`` if conjectured (a discovery).
     """
     n, d = g.n, g.max_degree()
@@ -230,7 +231,6 @@ def bounds_report(g: Graph, with_exact: bool = False,
             "note": "(1 - H_r/r) n, informational: one-sided only asymptotically",
         }
 
-    exact = zero_forcing_number(g, budget) if with_exact else None
     violations = []
     flags = []
     if exact is not None:

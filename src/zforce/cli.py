@@ -14,10 +14,12 @@ heuristics or the bound catalog.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import json
 import os
 import sys
-from typing import BinaryIO, Iterator
+from typing import Iterator
 
 from .codec import (
     looks_like_graph6,
@@ -42,28 +44,51 @@ def _emit(payload: dict) -> None:
     sys.stdout.write("\n")
 
 
-def _read_source(args: argparse.Namespace) -> str:
+def _input_lines(args: argparse.Namespace) -> Iterator[tuple[int, str]]:
+    """The non-blank input lines of every command, numbered as in the
+    input and read lazily from ``--g6`` text, the source file or stdin.
+
+    All three are read as bytes and split alike: ``--g6`` text as the
+    bytes the shell passed.  Lines end at a line feed only (a lone
+    carriage return stays inside its line), and blank lines are skipped
+    without renumbering.  Each line is decoded as strict ASCII, whatever
+    the locale, and keeps its leading whitespace, so graph6 error offsets
+    count it.  A file that cannot be opened is bad input (ValueError).
+    """
     if args.g6 is not None:
-        return args.g6
-    if args.source is None or args.source == "-":
-        data = sys.stdin.buffer.read()
+        source = io.BytesIO(os.fsencode(args.g6))
+    elif args.source is None or args.source == "-":
+        source = contextlib.nullcontext(sys.stdin.buffer)
     else:
-        with open(args.source, "rb") as handle:
-            data = handle.read()
-    # Bytes decoded as strict ASCII, whatever the locale: a file and stdin
-    # give the same text, with no newline translation.
-    return data.decode("ascii")
+        try:
+            source = open(args.source, "rb")
+        except OSError as exc:
+            raise ValueError(f"cannot read {args.source}: {exc.strerror}") from None
+    offset = 0
+    with source as handle:
+        for lineno, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("ascii")
+            except UnicodeDecodeError as exc:
+                # Name the offset from the start of the input, not of the line.
+                raise ValueError(f"'ascii' codec can't decode byte 0x{raw[exc.start]:02x} "
+                                 f"in position {offset + exc.start}: {exc.reason}") from None
+            offset += len(raw)
+            line = line.removesuffix("\n")
+            if line.strip():
+                yield lineno, line
 
 
 def _load_graph(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Graph:
-    text = _read_source(args)
-    # Unstripped, so graph6 error offsets count the leading whitespace.
-    first = next((line for line in text.split("\n") if line.strip()), None)
+    """The first non-blank input line as graph6, or else all the input
+    lines as an edge list."""
+    lines = (line for _, line in _input_lines(args))
+    first = next(lines, None)
     if first is None:
         parser.error("empty graph input")
     if looks_like_graph6(first):
         return parse_graph6(first)
-    return parse_edge_list(text)
+    return parse_edge_list("\n".join([first, *lines]))
 
 
 def _parse_set(spec: str, g: Graph, parser: argparse.ArgumentParser) -> int:
@@ -79,7 +104,8 @@ def _parse_set(spec: str, g: Graph, parser: argparse.ArgumentParser) -> int:
 def _add_source_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("source", nargs="?", default=None,
                      help="graph file (graph6 or edge list); '-' or omitted reads stdin")
-    sub.add_argument("--g6", default=None, help="inline graph6 string")
+    sub.add_argument("--g6", default=None,
+                     help="inline graph6 string, split at newlines like a file")
 
 
 def _add_quiet(sub: argparse.ArgumentParser) -> None:
@@ -143,6 +169,7 @@ def _cmd_heuristic(args, parser) -> int:
 
 def _cmd_bounds(args, parser) -> int:
     from .bounds import bounds_report
+    from .exact import zero_forcing_number
 
     if args.budget is not None:
         if args.budget < 0:
@@ -150,7 +177,8 @@ def _cmd_bounds(args, parser) -> int:
         if not args.exact:
             parser.error("--budget caps the exact solver; it needs --exact")
     g = _load_graph(args, parser)
-    report = bounds_report(g, with_exact=args.exact, budget=args.budget)
+    exact = zero_forcing_number(g, args.budget) if args.exact else None
+    report = bounds_report(g, exact=exact)
     if args.quiet:
         print(len(report.violations))
     else:
@@ -158,73 +186,31 @@ def _cmd_bounds(args, parser) -> int:
     return EXIT_VIOLATION if report.violations else EXIT_OK
 
 
-def _verify_line(lineno: int, line: str, exact_limit: int, hunt: bool, bounds_report) -> dict:
-    try:
-        g = parse_graph6(line)
-    except ValueError as exc:
-        return {"line": lineno, "graph6": line.strip(), "error": str(exc)}
-    with_exact = g.n <= exact_limit
-    report = bounds_report(g, with_exact=with_exact)
-    record = {
-        "line": lineno,
-        "graph6": line.strip(),
-        "n": g.n,
-        "violations": list(report.violations),
-        "conjecture_flags": list(report.conjecture_flags),
-    }
-    if with_exact and report.exact is not None:
-        record["z"] = report.exact.value
-    if hunt and "third_plus_two" in report.conjecture_flags:
-        record["conjecture_counterexample"] = True
-    return record
-
-
-def _verify_input(args: argparse.Namespace) -> Iterator[tuple[int, str]]:
-    """The non-blank input lines of ``verify`` with their line numbers,
-    read lazily from ``--g6``, the source file or stdin."""
-    if args.g6 is not None:
-        yield 1, args.g6
-    elif args.source is None or args.source == "-":
-        yield from _numbered_lines(sys.stdin.buffer)
-    else:
-        with open(args.source, "rb") as handle:
-            yield from _numbered_lines(handle)
-
-
-def _numbered_lines(handle: BinaryIO) -> Iterator[tuple[int, str]]:
-    """The non-blank lines of a binary stream, numbered as in the file.
-
-    Lines end at a line feed only (a lone carriage return stays inside
-    its line), and blank lines are skipped without renumbering.  Each line is decoded as strict ASCII, as
-    ``_read_source`` decodes a whole input, and keeps its leading
-    whitespace, so graph6 error offsets count it.
-    """
-    offset = 0
-    for lineno, raw in enumerate(handle, start=1):
-        try:
-            line = raw.decode("ascii")
-        except UnicodeDecodeError as exc:
-            # Name the offset from the start of the input, not of the line.
-            raise ValueError(f"'ascii' codec can't decode byte 0x{raw[exc.start]:02x} "
-                             f"in position {offset + exc.start}: {exc.reason}") from None
-        offset += len(raw)
-        line = line.removesuffix("\n")
-        if line.strip():
-            yield lineno, line
-
-
 def _cmd_verify(args, parser) -> int:
     from .bounds import bounds_report
+    from .exact import zero_forcing_number
 
     graphs = violations = counterexamples = errors = 0
-    for lineno, line in _verify_input(args):
-        record = _verify_line(lineno, line, args.exact_limit, args.hunt_conjecture, bounds_report)
+    for lineno, line in _input_lines(args):
         graphs += 1
-        violations += len(record.get("violations", ()))
-        errors += 1 if "error" in record else 0
-        if record.get("conjecture_counterexample"):
-            counterexamples += 1
-            print("CONJECTURE COUNTEREXAMPLE:", record["graph6"], file=sys.stderr)
+        record = {"line": lineno, "graph6": line.strip()}
+        try:
+            g = parse_graph6(line)
+        except ValueError as exc:
+            record["error"] = str(exc)
+            errors += 1
+        else:
+            exact = zero_forcing_number(g) if g.n <= args.exact_limit else None
+            report = bounds_report(g, exact=exact)
+            record.update(n=g.n, violations=list(report.violations),
+                          conjecture_flags=list(report.conjecture_flags))
+            violations += len(report.violations)
+            if exact is not None:
+                record["z"] = exact.value
+            if args.hunt_conjecture and "third_plus_two" in report.conjecture_flags:
+                record["conjecture_counterexample"] = True
+                counterexamples += 1
+                print("CONJECTURE COUNTEREXAMPLE:", record["graph6"], file=sys.stderr)
         print(json.dumps(record))
     summary = {
         "summary": True,

@@ -12,6 +12,7 @@ import re
 from .graph import Graph
 
 _HEADER = ">>graph6<<"
+_MAX_ORDER = 258047  # the largest order a 3-byte graph6 length header holds
 
 
 class Graph6Error(ValueError):
@@ -87,7 +88,7 @@ def to_graph6(g: Graph) -> str:
     n = g.n
     if n <= 62:
         head = chr(n + 63)
-    elif n <= 258047:
+    elif n <= _MAX_ORDER:
         head = "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
     else:
         raise ValueError(f"n={n} exceeds the supported graph6 range")
@@ -104,7 +105,8 @@ def parse_edge_list(text: str) -> Graph:
     """Parse whitespace-separated "u v" pairs, optionally preceded by "n".
 
     Without a leading order line the order is one more than the largest
-    index mentioned.
+    index mentioned.  Orders above the largest that ``to_graph6`` writes
+    are rejected before any memory is set aside for them.
     """
     tokens = text.split()
     if not tokens:
@@ -117,6 +119,8 @@ def parse_edge_list(text: str) -> Graph:
         n, values = values[0], values[1:]
     else:
         n = max(values) + 1 if values else 1
+    if n > _MAX_ORDER:
+        raise ValueError(f"edge-list order {n} exceeds {_MAX_ORDER}, the largest graph6 order")
     if any(v < 0 for v in values):
         raise ValueError("negative vertex index in edge list")
     pairs = list(zip(values[::2], values[1::2]))

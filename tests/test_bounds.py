@@ -256,14 +256,14 @@ def test_report_invariants_on_named(named_graphs):
     for name, g in named_graphs.items():
         if g.n > 12:
             continue
-        report = bounds_report(g, with_exact=True)
+        report = bounds_report(g, zf.zero_forcing_number(g))
         assert report.violations == (), name
         assert report.conjecture_flags == (), name
 
 
 def test_report_sandwich_on_corpus(random_corpus):
     for g in random_corpus[:120]:
-        report = bounds_report(g, with_exact=True)
+        report = bounds_report(g, zf.zero_forcing_number(g))
         assert report.violations == ()
 
 
@@ -272,23 +272,28 @@ def test_report_sandwich_on_corpus(random_corpus):
     (3, 4, ("girth_degree",), ()),
     (5, 5, (), ()),
 ])
-def test_sandwich_checks_both_ends_of_the_interval(monkeypatch, lower, upper, violations, flags):
+def test_sandwich_checks_both_ends_of_the_interval(lower, upper, violations, flags):
     # An upper entry is judged against the lower end and a lower entry
     # against the upper end, whether or not the interval has closed.
-    import zforce.bounds
-
-    def fake(g, budget=None):
-        complete = lower == upper
-        return zf.ExactResult(lower if complete else None, (1 << upper) - 1, 0,
-                              complete, lower, upper)
-
-    monkeypatch.setattr(zforce.bounds, "zero_forcing_number", fake)
-    report = bounds_report(zf.generate("petersen"), with_exact=True)
+    complete = lower == upper
+    fake = zf.ExactResult(lower if complete else None, (1 << upper) - 1, 0,
+                          complete, lower, upper)
+    report = bounds_report(zf.generate("petersen"), fake)
     assert (report.violations, report.conjecture_flags) == (violations, flags)
+    assert report.exact is fake
+
+
+def test_report_takes_an_interval_and_no_solver_options():
+    g = zf.generate("petersen")
+    for options in ({"with_exact": True}, {"budget": 3}):
+        with pytest.raises(TypeError):
+            bounds_report(g, **options)
+    assert bounds_report(g).exact is None
 
 
 def test_report_json_shape():
-    payload = bounds_report(zf.cycle(5), with_exact=True).to_json_dict()
+    c5 = zf.cycle(5)
+    payload = bounds_report(c5, zf.zero_forcing_number(c5)).to_json_dict()
     assert payload["stats"]["girth"] == 5
     assert payload["exact"]["value"] == 2
     names = {e["name"] for e in payload["entries"]}
@@ -318,6 +323,7 @@ def test_report_json_is_byte_identical_on_the_fixed_batch():
             g = zf.parse_graph6(line)
         except ValueError:
             continue
-        lines.append(json.dumps(bounds_report(g, with_exact=g.n <= 12).to_json_dict()) + "\n")
+        exact = zf.zero_forcing_number(g) if g.n <= 12 else None
+        lines.append(json.dumps(bounds_report(g, exact).to_json_dict()) + "\n")
     assert len(lines) == 104
     assert "".join(lines) == (data / "bounds_batch.jsonl").read_text()

@@ -82,7 +82,7 @@ def test_census_counts_match_oeis(levels, census):
 def test_census_has_no_proven_violation_and_theorem_1_iff(census):
     tags = Counter()
     for g in census:
-        report = zf.bounds_report(g, with_exact=True)
+        report = zf.bounds_report(g, zf.zero_forcing_number(g))
         assert report.exact.complete
         assert report.violations == ()
         d, n = g.max_degree(), g.n

@@ -20,6 +20,16 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def outcome(capsys, *argv):
+    """Exit code, stdout and stderr of a run, usage errors included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
 def test_gen_graph6_and_edges(capsys):
     code, out, _ = run(capsys, "gen", "complete", "4")
     assert code == 0 and out.strip() == "C~"
@@ -364,6 +374,60 @@ def test_file_and_stdin_give_the_same_records_for_the_same_bytes(tmp_path, capsy
     record, summary = (json.loads(line) for line in cr_out.splitlines())
     assert cr_code == 2 and summary["graphs"] == 1
     assert record["error"] == "byte 13 outside graph6 range 63..126 (byte offset 2)"
+
+
+@pytest.mark.parametrize("data, exact_says, verify_says", [
+    # Blank lines are skipped but counted; the first non-blank line is the graph.
+    (b"\n\n  Bg\n", '"value": 1,', '"line": 3, "graph6": "Bg", "n": 3'),
+    # Offsets count the leading whitespace of the line.
+    (b"\n  Bg!\n", "(byte offset 4)", '"line": 2, "graph6": "Bg!", "error"'),
+    # A lone carriage return stays inside its line.
+    (b"Bg\rBg\n", "byte 13 outside graph6 range 63..126 (byte offset 2)",
+     "byte 13 outside graph6 range 63..126 (byte offset 2)"),
+    # A byte that is not ASCII is named by its offset from the start of the
+    # input; the single-graph commands read no further than the first line.
+    (b" \xff\n", "can't decode byte 0xff in position 1", "can't decode byte 0xff in position 1"),
+    (b"Bg\n \xff\n", '"value": 1,', "can't decode byte 0xff in position 4"),
+    # An edge list is all the lines.
+    (b"3\n0 1\n\n1 2\n", '"value": 1,', '"line": 4, "graph6": "1 2", "error"'),
+])
+def test_file_stdin_and_g6_text_read_the_same_bytes_alike(tmp_path, capsys, monkeypatch,
+                                                          data, exact_says, verify_says):
+    src = tmp_path / "g.in"
+    src.write_bytes(data)
+    for command, says in (("exact", exact_says), ("verify", verify_says)):
+        from_file = outcome(capsys, command, str(src))
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        assert outcome(capsys, command, "-") == from_file
+        assert outcome(capsys, command, "--g6", os.fsdecode(data)) == from_file
+        assert says in from_file[1] + from_file[2]
+
+
+def test_verify_g6_text_gives_one_record_per_line(capsys):
+    code, out, _ = run(capsys, "verify", "--g6", "Bg\n\nBg")
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert code == 0 and [row.get("line") for row in rows[:-1]] == [1, 3]
+    assert rows[-1]["graphs"] == 2
+
+
+@pytest.mark.parametrize("command", ["exact", "bounds", "verify"])
+def test_unreadable_input_is_usage_error(tmp_path, capsys, command):
+    # A missing file and a directory: exit 2 naming the path, no traceback.
+    for path in (tmp_path / "missing.g6", tmp_path):
+        code, out, err = outcome(capsys, command, str(path))
+        assert code == 2 and out == ""
+        assert err.startswith(f"usage: zforce {command}")
+        assert f"cannot read {path}: " in err
+
+
+def test_edge_list_order_is_bounded(capsys, monkeypatch):
+    # Orders that would overflow, or fill memory, as a list of rows.  The
+    # overflow comes first: without the order check it fails at once.
+    for data in (b"99999999999999999999 1", b"3000000000"):
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data)))
+        code, out, err = outcome(capsys, "exact")
+        assert code == 2 and out == ""
+        assert "exceeds 258047, the largest graph6 order" in err
 
 
 def test_empty_input_usage_error(capsys, monkeypatch):

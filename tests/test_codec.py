@@ -142,6 +142,14 @@ def test_edge_list_with_and_without_order_line():
         parse_edge_list("")
 
 
+def test_edge_list_order_above_the_graph6_limit_is_rejected():
+    # The overflow comes first: without the order check it fails at once,
+    # where the next input would try to fill memory with rows.
+    for text in ("99999999999999999999 1", "3000000000", "258048", "258048\n0 1\n"):
+        with pytest.raises(ValueError, match="order .* exceeds 258047"):
+            parse_edge_list(text)
+
+
 def test_edge_list_roundtrip(named_graphs):
     for g in named_graphs.values():
         assert parse_edge_list(zf.to_edge_list(g)) == g

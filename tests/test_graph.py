@@ -115,7 +115,7 @@ def test_bounds_report_finds_the_components_once(random_corpus, monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(graph, "reachable", counted)
-            zf.bounds_report(g, with_exact=True)
+            zf.bounds_report(g, zf.zero_forcing_number(g))
         assert sum(h is g for h in calls) <= 1
 
 

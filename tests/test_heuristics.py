@@ -277,7 +277,7 @@ def test_constructions_keep_nothing_but_invariants_on_the_graph(cubic_g5_corpus)
         subcubic_girth5_zfs(g)
         zf.random_zfs(g, 4, 0)
         zf.expected_size(g)
-        zf.bounds_report(g, with_exact=True)
+        zf.bounds_report(g, zf.zero_forcing_number(g))
         assert set(vars(g)) <= allowed
 
 

@@ -58,7 +58,7 @@ def test_budget_intervals_contain_the_oracle_value(data):
     assert res.complete or budget < full
     assert res.nodes_explored == min(budget, full)
     # Sound ends never put a correct proven entry on the wrong side.
-    assert bounds_report(g, with_exact=True, budget=budget).violations == ()
+    assert bounds_report(g, res).violations == ()
 
 
 @st.composite
