@@ -34,19 +34,18 @@ _SOURCES = {
     ),
     "exact": ("ExactResult", "brute_force_oracle", "zero_forcing_number"),
     "heuristics": (
-        "ExtensionSubgraph", "HeuristicResult", "expected_size",
-        "find_extension_subgraph", "find_seed", "greedy_extend",
-        "greedy_ratio_zfs", "random_zfs", "subcubic_girth5_zfs",
-        "vertex_probability",
+        "ExtensionSubgraph", "HeuristicResult", "find_extension_subgraph",
+        "find_seed", "greedy_extend", "greedy_ratio_zfs", "random_zfs",
+        "subcubic_girth5_zfs",
     ),
     "bounds": (
-        "BoundEntry", "BoundReport", "TYPE_PROBABILITIES", "VertexType",
-        "bounds_report", "classify_vertex", "upper_degree_ratio",
-        "upper_degree_refined", "upper_noncomplete",
+        "BoundEntry", "BoundReport", "bounds_report", "expected_size",
+        "upper_degree_ratio", "upper_degree_refined", "upper_noncomplete",
+        "vertex_probability",
     ),
     "ratmath": (
         "girth5_regular_factor", "harmonic", "log2_overestimate",
-        "lower_girth_degree", "subcubic_girth5_value", "subcubic_size_ok",
+        "lower_girth_degree", "subcubic_girth5_value",
     ),
 }
 _MODULE_OF = {name: module for module, names in _SOURCES.items() for name in names}

@@ -4,18 +4,22 @@ Every entry carries its applicability predicate and a proven/conjectured
 status, so a verifier can treat proven violations as defects and
 conjectured violations as discoveries.  All values are Fractions; the
 command line renders decimals but no comparison ever goes through a
-float.
+float.  The module also holds the exact expected size of the
+random-order zero forcing set, ``expected_size``, the value of the
+``cubic_trianglefree`` entry.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .exact import ExactResult
 from .families import ExceptionalGraph, exceptional_tag
 from .graph import Graph, girth, is_connected
-from .heuristics import expected_size, vertex_probability
 from .ratmath import (
     GIRTH_DEGREE_PROVEN,
     fraction_json,
@@ -27,27 +31,6 @@ from .ratmath import (
 
 PROVEN = "proven"
 CONJECTURED = "conjectured"
-
-#: The seven distance-2 neighborhood shapes a vertex of a cubic
-#: triangle-free graph (no K_{3,3} component) can have, keyed by their
-#: exact inclusion probability under the random-order construction.
-TYPE_PROBABILITIES: dict[int, Fraction] = {
-    1: Fraction(81, 140),
-    2: Fraction(149, 252),
-    3: Fraction(5, 8),
-    4: Fraction(171, 280),
-    5: Fraction(101, 168),
-    6: Fraction(269, 420),
-    7: Fraction(17, 28),
-}
-
-_PROBABILITY_TO_TYPE = {p: i for i, p in TYPE_PROBABILITIES.items()}
-
-
-@dataclass(frozen=True)
-class VertexType:
-    index: int
-    probability: Fraction
 
 
 @dataclass(frozen=True)
@@ -96,26 +79,85 @@ def upper_noncomplete(n: int, d: int) -> Fraction:
     return Fraction((d - 1) * n, d)
 
 
-# -- vertex classification -------------------------------------------------
+# -- the random-order expectation ------------------------------------------
 
 
-def classify_vertex(g: Graph, u: int) -> VertexType:
-    """Type 1..7 of a vertex in a cubic triangle-free graph.
+def vertex_probability(g: Graph, u: int) -> Fraction:
+    """P[u ends up in the random-order set], by inclusion-exclusion.
 
-    The seven types have pairwise distinct inclusion probabilities, so
-    the exact probability identifies the type.  A probability outside
-    the table signals a precondition violation (triangle, non-cubic
-    vertex nearby, or a K_{3,3} component).
+    Sums (-1)^|I| / |{u} + union of closed neighborhoods over I| over all
+    subsets I of u's neighborhood; exact rational arithmetic throughout.
+    The sum depends only on how many subsets of each parity give each
+    union size, so its value is memoised on that signature.  Without
+    triangles and 4-cycles the closed neighborhoods of u's neighbors meet
+    only in u, the size for I is 1 + the sum of their degrees, and the
+    value is memoised on the sorted neighbor degrees alone.
     """
-    p = vertex_probability(g, u)
-    index = _PROBABILITY_TO_TYPE.get(p)
-    if index is None:
-        raise ValueError(
-            f"vertex {u} has inclusion probability {p}, outside the seven "
-            "cubic triangle-free types; check for triangles, degrees != 3, "
-            "or a K_3,3 component"
-        )
-    return VertexType(index, p)
+    probability, [key] = _probability_keys(g, [u])
+    return probability(key)
+
+
+def _probability_keys(g: Graph, vertices: Sequence[int]):
+    """(probability of a key, the key of each vertex): what a vertex's
+    inclusion probability depends on.  The key is the sorted neighbor
+    degrees at girth >= 5 or on a forest, the union sizes otherwise; the
+    two kinds go to separate memos, since an isolated vertex's union
+    sizes (1,) are also a K2 vertex's neighbor degrees."""
+    degrees = g.degrees
+    if max(degrees[u] for u in vertices) > 20:
+        raise ValueError("inclusion-exclusion limited to degree <= 20")
+    neighbors = g.neighbors
+    if (g.girth or 5) >= 5:
+        return _probability_from_degrees, [tuple(sorted([degrees[v] for v in neighbors[u]]))
+                                           for u in vertices]
+    adj = g.adj
+    keys = []
+    for u in vertices:
+        # |{u} + N[I]| for each subset I of u's neighbors, indexed by subset
+        unions = [1 << u]
+        for v in neighbors[u]:
+            closed = adj[v] | 1 << v
+            unions += [m | closed for m in unions]
+        keys.append(tuple([m.bit_count() for m in unions]))
+    return _probability_from_sizes, keys
+
+
+def _probability_from_sizes(sizes: Sequence[int]) -> Fraction:
+    """The inclusion-exclusion sum for union sizes indexed by subset,
+    memoised on its signature: the sorted (size, signed count) pairs."""
+    coeff: dict[int, int] = {}
+    for s, size in enumerate(sizes):
+        coeff[size] = coeff.get(size, 0) + (-1 if s.bit_count() & 1 else 1)
+    return _probability_from_signature(tuple(sorted(coeff.items())))
+
+
+@lru_cache(maxsize=4096)
+def _probability_from_signature(signature: tuple[tuple[int, int], ...]) -> Fraction:
+    return sum((Fraction(c, size) for size, c in signature), Fraction(0))
+
+
+@lru_cache(maxsize=4096)
+def _probability_from_degrees(degrees: tuple[int, ...]) -> Fraction:
+    sizes = [1] * (1 << len(degrees))
+    for s in range(1, len(sizes)):
+        low = s & -s
+        sizes[s] = sizes[s ^ low] + degrees[low.bit_length() - 1]
+    return _probability_from_sizes(sizes)
+
+
+def expected_size(g: Graph) -> Fraction:
+    """Exact expected size of the random-order zero forcing set.
+
+    This double sum is itself an upper bound for the zero forcing
+    number, by the first moment principle.  Vertices sharing the key of
+    ``vertex_probability`` share its value, so each key adds its
+    probability once, times its count.
+    """
+    probability, keys = _probability_keys(g, range(g.n))
+    return sum((count * probability(key) for key, count in Counter(keys).items()), Fraction(0))
+
+
+# -- the full report ---------------------------------------------------------
 
 
 def _has_k33_component(g: Graph) -> bool:
@@ -123,9 +165,6 @@ def _has_k33_component(g: Graph) -> bool:
     # cubic graphs on six vertices are K_3,3 and the prism, which has
     # triangles, so a six-vertex component is K_3,3.
     return any(comp.bit_count() == 6 for comp in g.components)
-
-
-# -- the full report ---------------------------------------------------------
 
 
 @dataclass(frozen=True)

@@ -237,7 +237,7 @@ def _cmd_gen(args, parser) -> int:
 
 
 def _cmd_expect(args, parser) -> int:
-    from .heuristics import expected_size
+    from .bounds import expected_size
     from .ratmath import fraction_json
 
     g = _load_graph(args, parser)

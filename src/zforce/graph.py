@@ -60,9 +60,8 @@ class Graph:
         if len(self.adj) != self.n:
             raise ValueError(f"adjacency has {len(self.adj)} rows for n={self.n}")
         adj = self.adj
-        full = (1 << self.n) - 1
         for v, row in enumerate(adj):
-            if row & ~full:
+            if row >> self.n:  # a bit at n or above, or a negative row
                 raise ValueError(f"vertex {v} has a neighbor out of range")
             if row >> v & 1:
                 raise ValueError(f"loop at vertex {v}")
@@ -104,9 +103,6 @@ class Graph:
 
     def edge_count(self) -> int:
         return sum(self.degrees) // 2
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return bool(self.adj[u] >> v & 1)
 
     def degree(self, v: int) -> int:
         return self.degrees[v]

@@ -8,9 +8,9 @@ guarantee:
 * ``find_seed`` produces such a seed for every connected graph of
   maximum degree D >= 3 apart from six exceptional graphs, which it
   recognizes and reports instead.
-* ``random_zfs`` draws sets from random vertex orders; ``expected_size``
-  evaluates the exact expected set size by inclusion-exclusion, which is
-  itself an upper bound for the zero forcing number.
+* ``random_zfs`` draws sets from random vertex orders; the exact
+  expected size of such a set, an upper bound for the zero forcing
+  number, is the bound catalog's ``expected_size``.
 * ``subcubic_girth5_zfs`` beats n/2 by a logarithmic margin on connected
   subcubic graphs of girth at least 5, by repeatedly locating a minimal
   extension subgraph straddling the filled boundary and augmenting along
@@ -19,11 +19,9 @@ guarantee:
 
 from __future__ import annotations
 
-from collections import Counter
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import combinations
 from random import Random
 
@@ -346,7 +344,7 @@ def random_zfs(g: Graph, trials: int, seed: int = 0) -> HeuristicResult:
     smallest result wins, ties broken by lexicographic vertex list, so
     the outcome is reproducible regardless of evaluation order.  The
     claim is the mean trial size, which the kept set never exceeds; the
-    exact expectation it estimates is ``expected_size``.
+    exact expectation it estimates is ``bounds.expected_size``.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -370,81 +368,6 @@ def random_zfs(g: Graph, trials: int, seed: int = 0) -> HeuristicResult:
         bound_claim=Fraction(total, trials),
         graph=g,
     )
-
-
-def vertex_probability(g: Graph, u: int) -> Fraction:
-    """P[u ends up in the random-order set], by inclusion-exclusion.
-
-    Sums (-1)^|I| / |{u} + union of closed neighborhoods over I| over all
-    subsets I of u's neighborhood; exact rational arithmetic throughout.
-    The sum depends only on how many subsets of each parity give each
-    union size, so its value is memoised on that signature.  Without
-    triangles and 4-cycles the closed neighborhoods of u's neighbors meet
-    only in u, the size for I is 1 + the sum of their degrees, and the
-    value is memoised on the sorted neighbor degrees alone.
-    """
-    probability, [key] = _probability_keys(g, [u])
-    return probability(key)
-
-
-def _probability_keys(g: Graph, vertices: Sequence[int]):
-    """(probability of a key, the key of each vertex): what a vertex's
-    inclusion probability depends on.  The key is the sorted neighbor
-    degrees at girth >= 5 or on a forest, the union sizes otherwise; the
-    two kinds go to separate memos, since an isolated vertex's union
-    sizes (1,) are also a K2 vertex's neighbor degrees."""
-    degrees = g.degrees
-    if max(degrees[u] for u in vertices) > 20:
-        raise ValueError("inclusion-exclusion limited to degree <= 20")
-    neighbors = g.neighbors
-    if (g.girth or 5) >= 5:
-        return _probability_from_degrees, [tuple(sorted([degrees[v] for v in neighbors[u]]))
-                                           for u in vertices]
-    adj = g.adj
-    keys = []
-    for u in vertices:
-        # |{u} + N[I]| for each subset I of u's neighbors, indexed by subset
-        unions = [1 << u]
-        for v in neighbors[u]:
-            closed = adj[v] | 1 << v
-            unions += [m | closed for m in unions]
-        keys.append(tuple([m.bit_count() for m in unions]))
-    return _probability_from_sizes, keys
-
-
-def _probability_from_sizes(sizes: Sequence[int]) -> Fraction:
-    """The inclusion-exclusion sum for union sizes indexed by subset,
-    memoised on its signature: the sorted (size, signed count) pairs."""
-    coeff: dict[int, int] = {}
-    for s, size in enumerate(sizes):
-        coeff[size] = coeff.get(size, 0) + (-1 if s.bit_count() & 1 else 1)
-    return _probability_from_signature(tuple(sorted(coeff.items())))
-
-
-@lru_cache(maxsize=4096)
-def _probability_from_signature(signature: tuple[tuple[int, int], ...]) -> Fraction:
-    return sum((Fraction(c, size) for size, c in signature), Fraction(0))
-
-
-@lru_cache(maxsize=4096)
-def _probability_from_degrees(degrees: tuple[int, ...]) -> Fraction:
-    sizes = [1] * (1 << len(degrees))
-    for s in range(1, len(sizes)):
-        low = s & -s
-        sizes[s] = sizes[s ^ low] + degrees[low.bit_length() - 1]
-    return _probability_from_sizes(sizes)
-
-
-def expected_size(g: Graph) -> Fraction:
-    """Exact expected size of the random-order zero forcing set.
-
-    This double sum is itself an upper bound for the zero forcing
-    number, by the first moment principle.  Vertices sharing the key of
-    ``vertex_probability`` share its value, so each key adds its
-    probability once, times its count.
-    """
-    probability, keys = _probability_keys(g, range(g.n))
-    return sum((count * probability(key) for key, count in Counter(keys).items()), Fraction(0))
 
 
 # -- extension subgraphs and the subcubic girth-5 algorithm ----------------

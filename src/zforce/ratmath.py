@@ -92,26 +92,6 @@ def subcubic_girth5_value(n: int) -> Fraction:
     return Fraction(n, 2) - n / (24 * lg + 6) + 2
 
 
-def subcubic_size_ok(n: int, size: int) -> bool:
-    """Exact check of size <= n/2 - n/(24*log2(n)+6) + 2, no rounding.
-
-    Rearranges to an integer power comparison: with t = size - 2 and
-    s = n - 2t, the inequality holds iff s > 0 and either 3s >= n or
-    n**(12s) >= 2**(n - 3s).
-    """
-    if n < 4:
-        raise ValueError("the subcubic bound needs n >= 4")
-    t = size - 2
-    if t < 0:
-        return True
-    s = n - 2 * t
-    if s <= 0:
-        return False
-    if 3 * s >= n:
-        return True
-    return n ** (12 * s) >= 1 << (n - 3 * s)
-
-
 def running_ratio_ok(n: int, z_size: int, closure_size: int) -> bool:
     """Exact check of (|Z|-2)/|F| <= 1/2 - 1/(8*log2(n)+2).
 

@@ -11,12 +11,12 @@ from fractions import Fraction
 from itertools import permutations
 
 import zforce as zf
+from test_bounds import TYPE_PROBABILITIES, classify, subcubic_size_ok
 from test_heuristics import meets_seed_rule
-from zforce.bounds import TYPE_PROBABILITIES, classify_vertex
 from zforce.cli import main as cli_main
 from zforce.graph import bit_list
 from zforce.heuristics import greedy_extend, greedy_ratio_zfs, subcubic_girth5_zfs
-from zforce.ratmath import girth5_regular_factor, subcubic_size_ok
+from zforce.ratmath import girth5_regular_factor
 
 
 def _report(num: int, text: str) -> None:
@@ -159,7 +159,7 @@ def test_criterion_06_cubic_trianglefree_types(cubic_tf_corpus, exact_z):
     for g in cubic_tf_corpus:
         total = Fraction(0)
         for u in range(g.n):
-            t = classify_vertex(g, u)
+            t = classify(g, u)
             assert 1 <= t.index <= 7
             assert t.probability == TYPE_PROBABILITIES[t.index]
             total += t.probability

@@ -3,14 +3,13 @@
 import json
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
 import zforce as zf
 from zforce.bounds import (
-    TYPE_PROBABILITIES,
     bounds_report,
-    classify_vertex,
     lower_girth_degree,
     upper_degree_ratio,
     upper_degree_refined,
@@ -21,8 +20,66 @@ from zforce.ratmath import (
     harmonic,
     log2_overestimate,
     subcubic_girth5_value,
-    subcubic_size_ok,
 )
+
+#: The seven distance-2 neighborhood shapes a vertex of a cubic
+#: triangle-free graph (no K_{3,3} component) can have, keyed by their
+#: exact inclusion probability under the random-order construction.
+TYPE_PROBABILITIES: dict[int, Fraction] = {
+    1: Fraction(81, 140),
+    2: Fraction(149, 252),
+    3: Fraction(5, 8),
+    4: Fraction(171, 280),
+    5: Fraction(101, 168),
+    6: Fraction(269, 420),
+    7: Fraction(17, 28),
+}
+
+_PROBABILITY_TO_TYPE = {p: i for i, p in TYPE_PROBABILITIES.items()}
+
+
+class VertexType(NamedTuple):
+    index: int
+    probability: Fraction
+
+
+def classify(g, u) -> VertexType:
+    """Type 1..7 of a vertex in a cubic triangle-free graph.
+
+    The seven types have pairwise distinct inclusion probabilities, so
+    the exact probability identifies the type.  A probability outside
+    the table signals a precondition violation (triangle, non-cubic
+    vertex nearby, or a K_{3,3} component).
+    """
+    p = zf.vertex_probability(g, u)
+    index = _PROBABILITY_TO_TYPE.get(p)
+    if index is None:
+        raise ValueError(
+            f"vertex {u} has inclusion probability {p}, outside the seven "
+            "cubic triangle-free types; check for triangles, degrees != 3, "
+            "or a K_3,3 component"
+        )
+    return VertexType(index, p)
+
+
+def subcubic_size_ok(n: int, size: int) -> bool:
+    """Exact check of size <= n/2 - n/(24*log2(n)+6) + 2, no rounding.
+
+    Rearranges to an integer power comparison: with t = size - 2 and
+    s = n - 2t, the inequality holds iff s > 0 and either 3s >= n or
+    n**(12s) >= 2**(n - 3s).
+    """
+    if n < 4:
+        raise ValueError("the subcubic bound needs n >= 4")
+    t = size - 2
+    if t < 0:
+        return True
+    s = n - 2 * t
+    if s <= 0:
+        return False
+    if 3 * s >= n:
+        return True
+    return n ** (12 * s) >= 1 << (n - 3 * s)
 
 
 def entry_of(g, name):
@@ -128,7 +185,7 @@ def test_probabilities_pairwise_distinct():
 def test_petersen_vertices_all_type_one():
     g = zf.generate("petersen")
     for u in range(10):
-        t = classify_vertex(g, u)
+        t = classify(g, u)
         assert t.index == 1 and t.probability == Fraction(81, 140)
 
 
@@ -136,7 +193,7 @@ def type_counts(g):
     """How many vertices of each type 1..7 the graph has, vertex by vertex."""
     counts = {i: 0 for i in TYPE_PROBABILITIES}
     for u in range(g.n):
-        counts[classify_vertex(g, u).index] += 1
+        counts[classify(g, u).index] += 1
     return counts
 
 
@@ -158,8 +215,8 @@ def test_type_four_and_six_witnesses():
                 (s1, a), (s1, b), (s3, c)]
     g = zf.Graph.from_edges(14, gadget(0) + gadget(7) + [(5, 13), (6, 12), (6, 13)])
     assert g.is_regular() == 3 and zf.girth(g) == 4
-    assert classify_vertex(g, 0).index == 6
-    assert classify_vertex(g, 0).probability == Fraction(269, 420)
+    assert classify(g, 0).index == 6
+    assert classify(g, 0).probability == Fraction(269, 420)
     counts = type_counts(g)
     assert counts[6] == 8 and counts[4] == 4 and counts[1] == 2
     # the worked identity for type 4
@@ -169,12 +226,12 @@ def test_type_four_and_six_witnesses():
 def test_k33_vertex_rejected():
     g = zf.complete_bipartite(3, 3)
     with pytest.raises(ValueError, match="outside the seven"):
-        classify_vertex(g, 0)
+        classify(g, 0)
 
 
 def test_triangle_vertex_rejected():
     with pytest.raises(ValueError):
-        classify_vertex(zf.complete(4), 0)
+        classify(zf.complete(4), 0)
 
 
 # -- graph-level entries ------------------------------------------------------
@@ -245,7 +302,7 @@ def test_type_census_matches_the_per_vertex_definitions(cubic_tf_corpus, cubic_g
     large = [zf.random_regular(n, 3, n, min_girth=4) for n in range(30, 201, 10)]
     assert sum(zf.girth(g) == 4 for g in large) >= 10
     for g in cubic_tf_corpus + cubic_g5_corpus + large:
-        types = [classify_vertex(g, u) for u in range(g.n)]
+        types = [classify(g, u) for u in range(g.n)]
         assert all(t.probability == TYPE_PROBABILITIES[t.index] for t in types)
         census = sum(count * TYPE_PROBABILITIES[i] for i, count in type_counts(g).items())
         per_vertex = sum((t.probability for t in types), Fraction(0))

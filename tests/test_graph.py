@@ -24,6 +24,11 @@ def test_graph_validation_rejects_asymmetry_and_loops():
         Graph(1, (0b1,))
     with pytest.raises(ValueError, match="out of range"):
         Graph(2, (0b100, 0b000))
+    with pytest.raises(ValueError, match="^vertex 1 has a neighbor out of range$"):
+        Graph(3, (0b000, 0b1000, 0b000))  # bit n, the first one past the last vertex
+    with pytest.raises(ValueError, match="^vertex 0 has a neighbor out of range$"):
+        Graph(3, (-1, 0b000, 0b000))
+    assert Graph(3, (0b100, 0b000, 0b001)).degrees == (1, 0, 1)  # bit n - 1 is a vertex
     with pytest.raises(ValueError):
         Graph(0, ())
 
@@ -45,7 +50,7 @@ def test_construction_leaves_neighbors_uncomputed():
 
 def test_from_edges_builds_symmetric_adjacency():
     g = Graph.from_edges(4, [(0, 1), (1, 2)])
-    assert g.has_edge(1, 0) and g.has_edge(2, 1) and not g.has_edge(0, 2)
+    assert g.adj[1] >> 0 & 1 and g.adj[2] >> 1 & 1 and not g.adj[0] >> 2 & 1
     assert g.edges() == [(0, 1), (1, 2)]
     assert g.degrees == (1, 2, 1, 0)
 
@@ -210,7 +215,7 @@ def test_shortest_cycle_is_shortest_and_real(random_corpus):
         assert len(cyc) == target
         assert len(set(cyc)) == target
         for a, b in zip(cyc, cyc[1:] + cyc[:1]):
-            assert g.has_edge(a, b)
+            assert g.adj[a] >> b & 1
 
 
 def shortest_cycle_reference(g: Graph):

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import zforce as zf
+from test_bounds import subcubic_size_ok
 from test_forcing import with_isolated_vertex
 from zforce import forcing, heuristics
 from zforce.families import ExceptionalGraph, _shuffle, _stream_seed
@@ -24,7 +25,6 @@ from zforce.heuristics import (
     greedy_ratio_zfs,
     subcubic_girth5_zfs,
 )
-from zforce.ratmath import subcubic_size_ok
 
 
 def meets_seed_rule(g, z0):

@@ -15,19 +15,18 @@ SRC = str(Path(zf.__file__).resolve().parent.parent)
 
 SURFACE = [
     "BoundEntry", "BoundReport", "ExactResult", "ExceptionalGraph", "ExtensionSubgraph",
-    "ForcingStep", "ForcingTrace", "Graph", "Graph6Error", "HeuristicResult",
-    "TYPE_PROBABILITIES", "VertexSet", "VertexType", "bit_list", "bits", "bounds_report",
-    "brute_force_oracle", "classify_vertex", "closure", "closure_mask", "complete",
-    "complete_bipartite", "complete_bipartite_parts", "components", "cycle",
+    "ForcingStep", "ForcingTrace", "Graph", "Graph6Error", "HeuristicResult", "VertexSet",
+    "bit_list", "bits", "bounds_report", "brute_force_oracle", "closure", "closure_mask",
+    "complete", "complete_bipartite", "complete_bipartite_parts", "components", "cycle",
     "exceptional_tag", "expected_size", "find_extension_subgraph", "find_seed", "g1", "g2",
     "generate", "girth", "girth5_regular_factor", "greedy_extend", "greedy_ratio_zfs",
     "harmonic", "heawood", "is_connected", "is_zero_forcing_set", "log2_overestimate",
     "lower_girth_degree", "mask_of", "parse_edge_list", "parse_graph6", "path",
     "permutation_to_set", "petersen", "random_gnp", "random_regular", "random_zfs",
-    "shortest_cycle", "subcubic_girth5_value", "subcubic_girth5_zfs", "subcubic_size_ok",
-    "subdivided_k33", "to_dot", "to_edge_list", "to_graph6", "trace_violation",
-    "upper_degree_ratio", "upper_degree_refined", "upper_noncomplete", "verify_trace",
-    "vertex_probability", "zero_forcing_number",
+    "shortest_cycle", "subcubic_girth5_value", "subcubic_girth5_zfs", "subdivided_k33",
+    "to_dot", "to_edge_list", "to_graph6", "trace_violation", "upper_degree_ratio",
+    "upper_degree_refined", "upper_noncomplete", "verify_trace", "vertex_probability",
+    "zero_forcing_number",
 ]
 
 
@@ -104,3 +103,14 @@ def test_light_commands_load_neither_heuristics_nor_bounds(argv):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert main({argv!r}) == 0\n")
     assert "zforce.heuristics" not in loaded and "zforce.bounds" not in loaded
+
+
+@pytest.mark.parametrize("command", ["verify", "bounds", "expect"])
+def test_catalog_commands_load_the_bounds_but_not_the_constructions(command):
+    argv = [command, "--g6", zf.to_graph6(zf.petersen())]
+    loaded = loaded_after(
+        "import contextlib, io\n"
+        "from zforce.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    assert main({argv!r}) == 0\n")
+    assert "zforce.bounds" in loaded and "zforce.heuristics" not in loaded
