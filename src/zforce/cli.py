@@ -207,7 +207,7 @@ def _cmd_verify(args, parser) -> int:
             violations += len(report.violations)
             if exact is not None:
                 record["z"] = exact.value
-            if args.hunt_conjecture and "third_plus_two" in report.conjecture_flags:
+            if "third_plus_two" in report.conjecture_flags:
                 record["conjecture_counterexample"] = True
                 counterexamples += 1
                 print("CONJECTURE COUNTEREXAMPLE:", record["graph6"], file=sys.stderr)
@@ -293,8 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_args(p)
     p.add_argument("--exact-limit", type=int, default=12,
                    help="solve exactly up to this order (default 12)")
-    p.add_argument("--hunt-conjecture", action="store_true",
-                   help="flag connected subcubic graphs with Z > n/3 + 2")
     p.set_defaults(func=_cmd_verify, parser=p)
 
     p = sub.add_parser("gen", help="emit a named family member")

@@ -117,10 +117,11 @@ def is_zero_forcing_set(g: Graph, z: VertexSet) -> bool:
 def trace_violation(g: Graph, trace: ForcingTrace) -> str | None:
     """Replay a trace; None if valid, else a diagnostic for the first fault.
 
-    A step is valid when its forcer is filled and the forced vertex is the
-    forcer's unique unfilled neighbor at that moment.  At the end no vertex
-    of the closure may have exactly one unfilled neighbor, and the closure
-    field must match the replayed set.
+    A step is valid when both its vertices are in range, its forcer is
+    filled and the forced vertex is the forcer's unique unfilled neighbor
+    at that moment.  At the end no vertex of the closure may have exactly
+    one unfilled neighbor, and the closure field must match the replayed
+    set.
     """
     try:
         _check_subset(g, trace.initial)
@@ -128,6 +129,8 @@ def trace_violation(g: Graph, trace: ForcingTrace) -> str | None:
         return "initial set out of range"
     filled = trace.initial
     for i, step in enumerate(trace.steps):
+        if not (0 <= step.forcer < g.n and 0 <= step.forced < g.n):
+            return f"step {i}: vertex out of range"
         if not filled >> step.forcer & 1:
             return f"step {i}: forcer {step.forcer} is not filled"
         un = g.adj[step.forcer] & ~filled

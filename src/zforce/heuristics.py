@@ -80,22 +80,35 @@ class HeuristicResult:
 # -- seeds and the ratio greedy ------------------------------------------
 
 
-def _seed_start(g: Graph, d: int, z0: VertexSet) -> tuple[VertexSet, VertexSet] | None:
-    """The closure of z0 and its stalled boundary if z0 is a seed, else None.
+def _ratio_degree(g: Graph) -> int:
+    """D, once g meets the hypothesis of the (D-2)n/(D-1) construction:
+    connected, with D >= 3."""
+    d = g.max_degree()
+    if d < 3 or not is_connected(g):
+        raise ValueError("the ratio construction needs a connected graph of maximum degree >= 3")
+    return d
 
-    The seed rule, stated here only: z0 is non-empty, |closure| * (D-2) >=
-    |z0| * (D-1), and no closure vertex is isolated inside the closure.
+
+def _seed_closure(g: Graph, d: int, z: VertexSet, add: VertexSet,
+                  filled: VertexSet = 0, boundary: VertexSet = 0) -> tuple[VertexSet, VertexSet] | None:
+    """The closure of filled | add and its stalled boundary if z, the set
+    that closure starts from, meets the seed rule; else None.
+
+    The seed rule, checked here only: z is non-empty, |closure| * (D-2) >=
+    |z| * (D-1), and no closure vertex is isolated inside the closure.
     Together they guarantee the greedy extension lands at (D-2)n/(D-1).
+    ``filled`` is a closure already known to keep the rule, with
+    ``boundary`` its stalled vertices: the closure restarts from them
+    plus ``add``, and only the vertices it newly fills are tested for
+    isolation, since an old vertex keeps the filled neighbor it had.
     """
-    if not z0:
-        return None
     adj = g.adj
-    filled, boundary = closure_core(adj, z0, z0)
-    if filled.bit_count() * (d - 2) < z0.bit_count() * (d - 1):
+    grown, stalled = closure_core(adj, filled | add, boundary | add)
+    if not z or grown.bit_count() * (d - 2) < z.bit_count() * (d - 1):
         return None
-    if any(not adj[w] & filled for w in bits(filled)):
+    if any(not adj[w] & grown for w in bits(grown & ~filled)):
         return None
-    return filled, boundary
+    return grown, stalled
 
 
 def _closed_union_minus(g: Graph, keep: list[int], drop: VertexSet) -> VertexSet:
@@ -204,23 +217,14 @@ def find_seed(g: Graph) -> VertexSet | ExceptionalGraph:
 
 def _find_seed(g: Graph) -> tuple[VertexSet, VertexSet, VertexSet] | ExceptionalGraph:
     """``find_seed``, with the seed's closure and stalled boundary, as
-    ``_seed_start`` found them, returned beside the seed."""
-    if not is_connected(g):
-        raise ValueError("seed search needs a connected graph")
-    d = g.max_degree()
-    if d < 3:
-        raise ValueError("seed search needs maximum degree >= 3")
+    ``_seed_closure`` found them, returned beside the seed."""
+    d = _ratio_degree(g)
     tag = exceptional_tag(g)
     if tag is not None:
         return tag
 
-    seen: set[int] = set()
-
     def test(z0: VertexSet) -> tuple[VertexSet, VertexSet, VertexSet] | None:
-        if z0 in seen:
-            return None
-        seen.add(z0)
-        start = _seed_start(g, d, z0)
+        start = _seed_closure(g, d, z0, z0)
         return None if start is None else (z0, *start)
 
     # Single-vertex seeds, lowest degree first: guaranteed to satisfy the
@@ -252,19 +256,14 @@ def _find_seed(g: Graph) -> tuple[VertexSet, VertexSet, VertexSet] | Exceptional
 def greedy_extend(g: Graph, z0: VertexSet) -> HeuristicResult:
     """Grow a seed z0 to a zero forcing set of size <= (D-2)n/(D-1).
 
-    z0 must meet the seed rule of ``_seed_start``; else ``ValueError``.
+    z0 must meet the seed rule of ``_seed_closure``; else ``ValueError``.
     Each round picks the smallest closure vertex with neighbors both
     inside and outside, adds all but the smallest outside neighbor, and
-    recloses; the seed ratio and the no-isolated-vertex property
-    are rechecked every round.
+    recloses; the seed rule is rechecked every round.
     """
-    d = g.max_degree()
-    if d < 3:
-        raise ValueError("greedy extension needs maximum degree >= 3")
-    if not is_connected(g):
-        raise ValueError("greedy extension needs a connected graph")
+    d = _ratio_degree(g)
     _check_subset(g, z0)
-    start = _seed_start(g, d, z0)
+    start = _seed_closure(g, d, z0, z0)
     if start is None:
         raise ValueError("greedy extension needs a seed meeting the seed rule")
     return _extend(g, d, z0, *start)
@@ -276,9 +275,8 @@ def _extend(g: Graph, d: int, z: VertexSet, filled: VertexSet, boundary: VertexS
 
     No closure vertex is isolated, so the vertices with neighbors both
     inside and outside are the boundary the closure reports as stalled;
-    the closure only grows, so each round restarts from that boundary
-    plus the added vertices and checks only the newly filled vertices
-    for isolation.
+    each round restarts the closure from that boundary plus the added
+    vertices.
     """
     adj, full = g.adj, g.full_mask
     while filled != full:
@@ -288,12 +286,11 @@ def _extend(g: Graph, d: int, z: VertexSet, filled: VertexSet, boundary: VertexS
             raise AssertionError("closure left a vertex with one unfilled neighbor")
         add = out ^ (out & -out)  # keep the smallest outside neighbor out
         z |= add
-        grown, boundary = closure_core(adj, filled | add, boundary | add)
-        if grown.bit_count() * (d - 2) < z.bit_count() * (d - 1):
-            raise AssertionError("greedy extension broke the seed ratio")
-        if any(not adj[w] & grown for w in bits(grown & ~filled)):
-            raise AssertionError("greedy extension isolated a closure vertex")
-        filled = grown
+        grown = _seed_closure(g, d, z, add, filled, boundary)
+        if grown is None:
+            raise AssertionError("greedy extension broke the seed rule: "
+                                 "the ratio, or an isolated closure vertex")
+        filled, boundary = grown
     return HeuristicResult(
         zfs=z,
         method="greedy",
@@ -397,12 +394,13 @@ class ExtensionSubgraph:
         return self.vertex_set.bit_count()
 
 
-def _least_pattern(g: Graph, f: VertexSet, boundary: VertexSet, cap_order: int):
-    """(kind, path, cycle) of the least extension subgraph of order <=
-    cap_order under the key (order, r_count, kind, path, cycle), or None.
+def _least_pattern(g: Graph, f: VertexSet, boundary: VertexSet) -> ExtensionSubgraph:
+    """``find_extension_subgraph`` past its checks, given the filled
+    vertices of f with two or more unfilled neighbors (``boundary``).
 
-    Walks the simple paths that leave a vertex of ``boundary`` (the
-    vertices of f with unfilled neighbors) into the unfilled region one
+    The least extension subgraph up to the order cap, under the key
+    (order, unfilled count, kind, path, cycle).  Walks the simple paths
+    that leave a vertex of ``boundary`` into the unfilled region one
     level at a time, level L holding the paths of L vertices.  A pattern
     of order k closes on a path of k vertices (kinds a, b, d, e) or of
     k - 1 vertices (kind c), so scanning level k - 1 yields the kinds a,
@@ -415,11 +413,12 @@ def _least_pattern(g: Graph, f: VertexSet, boundary: VertexSet, cap_order: int):
     no candidate of its order is pending.
     """
     degrees, neighbors = g.degrees, g.neighbors
+    cap_order = _order_cap(g.n)
     level = [((v,), 1 << v) for v in bits(boundary)]
-    pending: list = []  # kinds a, b and c of the next order, as (rank, path, cycle)
+    pending: list = []  # kinds a, b and c of the next order, as (rank, kind, path, cycle)
     for order in range(1, cap_order + 1):
         if pending:
-            return _ranked_min(pending)
+            return ExtensionSubgraph(*min(pending)[1:])
         closing: list = []  # kinds d and e of this order
         grow = order < cap_order
         next_level = []
@@ -432,32 +431,24 @@ def _least_pattern(g: Graph, f: VertexSet, boundary: VertexSet, cap_order: int):
                 if f >> y & 1:
                     if y == f0:
                         if order >= 3:
-                            closing.append((3, (), path))
+                            closing.append((3, "d", (), path))
                     elif order >= 2 and grow:
-                        pending.append((0, path + (y,), ()))
+                        pending.append((0, "c", path + (y,), ()))
                 elif on_path >> y & 1:  # y is unfilled, so it is not f0
                     j = path.index(y)
-                    closing.append((4, path[: j + 1], path[j:]))
+                    closing.append((4, "e", path[: j + 1], path[j:]))
                 elif grow:
                     deg = degrees[y]
                     if deg == 2:
-                        pending.append((1, path + (y,), ()))
+                        pending.append((1, "a", path + (y,), ()))
                     elif deg == 1 and order >= 2:
-                        pending.append((2, path + (y,), ()))
+                        pending.append((2, "b", path + (y,), ()))
                     elif not pending:  # else the search ends before the next level
                         next_level.append((path + (y,), on_path | 1 << y))
         if closing:
-            return _ranked_min(closing)
+            return ExtensionSubgraph(*min(closing)[1:])
         level = next_level
-    return None
-
-
-_KINDS = "cabde"  # rank order within one pattern order
-
-
-def _ranked_min(candidates: list) -> tuple[str, tuple[int, ...], tuple[int, ...]]:
-    rank, path, cyc = min(candidates)
-    return _KINDS[rank], path, cyc
+    raise AssertionError("no extension subgraph within the order cap")
 
 
 def _order_cap(n: int) -> int:
@@ -494,16 +485,7 @@ def find_extension_subgraph(g: Graph, f: VertexSet) -> ExtensionSubgraph:
     r = g.full_mask ^ f
     if not any(g.degree(v) >= 2 for v in bits(r)):
         raise ValueError("the unfilled region has no vertex of degree >= 2")
-    return _extension_subgraph(g, f, boundary)
-
-
-def _extension_subgraph(g: Graph, f: VertexSet, boundary: VertexSet) -> ExtensionSubgraph:
-    """``find_extension_subgraph`` past its checks, given the filled
-    vertices of f with two or more unfilled neighbors."""
-    best = _least_pattern(g, f, boundary, _order_cap(g.n))
-    if best is None:
-        raise AssertionError("no extension subgraph within the order cap")
-    return ExtensionSubgraph(*best)
+    return _least_pattern(g, f, boundary)
 
 
 def _augmentation(g: Graph, f: VertexSet, h: ExtensionSubgraph) -> VertexSet:
@@ -579,7 +561,7 @@ def subcubic_girth5_zfs(g: Graph) -> HeuristicResult:
     # checks on g above, that is every precondition of the pattern search.
     branching = mask_of([w for w in range(n) if g.degree(w) >= 2])
     while branching & ~filled:
-        pattern = _extension_subgraph(g, filled, boundary)
+        pattern = _least_pattern(g, filled, boundary)
         add = _augmentation(g, filled, pattern)
         if add & filled:
             raise AssertionError("augmentation re-added filled vertices")

@@ -184,7 +184,7 @@ def test_verify_stream(tmp_path, capsys):
     lines = [zf.to_graph6(g) for g in (zf.complete(4), zf.cycle(5), zf.g1())]
     src = tmp_path / "batch.g6"
     src.write_text("\n".join(lines) + "\n")
-    code, out, _ = run(capsys, "verify", str(src), "--hunt-conjecture")
+    code, out, _ = run(capsys, "verify", str(src))
     rows = [json.loads(line) for line in out.splitlines()]
     summary = rows[-1]
     assert code == 0 and summary["graphs"] == 3 and summary["violations"] == 0
@@ -210,7 +210,7 @@ def test_verify_honors_exact_limit(capsys):
 def test_verify_named_corpus_is_clean(tmp_path, capsys, named_graphs):
     batch = tmp_path / "named.g6"
     batch.write_text("\n".join(zf.to_graph6(g) for g in named_graphs.values()) + "\n")
-    code, out, _ = run(capsys, "verify", str(batch), "--hunt-conjecture")
+    code, out, _ = run(capsys, "verify", str(batch))
     summary = json.loads(out.splitlines()[-1])
     assert code == 0
     assert summary["violations"] == 0 and summary["conjecture_counterexamples"] == 0
@@ -228,16 +228,15 @@ def test_hunt_reports_a_flagged_graph(capsys, monkeypatch):
 
     monkeypatch.setattr(bounds, "bounds_report", flagged)
     pet = zf.to_graph6(zf.generate("petersen"))
-    code, out, err = run(capsys, "verify", "--g6", pet, "--hunt-conjecture")
+    code, out, err = run(capsys, "verify", "--g6", pet)
     record, summary = (json.loads(line) for line in out.splitlines())
     assert code == 0
     assert record["conjecture_counterexample"] is True
     assert f"CONJECTURE COUNTEREXAMPLE: {pet}" in err.splitlines()
     assert summary["conjecture_counterexamples"] == 1
-    code, out, err = run(capsys, "verify", "--g6", pet)
-    record, summary = (json.loads(line) for line in out.splitlines())
-    assert "conjecture_counterexample" not in record and err == ""
-    assert summary["conjecture_counterexamples"] == 0
+    # The hunt is no longer a switch: the old flag is a usage error.
+    code, out, err = outcome(capsys, "verify", "--g6", pet, "--hunt-conjecture")
+    assert code == 2 and out == "" and "--hunt-conjecture" in err
 
 
 def test_verify_reports_malformed_lines(tmp_path, capsys):

@@ -137,6 +137,14 @@ def test_verify_trace_rejects_premature_stop():
         g, ForcingTrace(0b001, (ForcingStep(0, 1),), 0b011))
 
 
+def test_verify_trace_rejects_out_of_range_step_vertices():
+    g = zf.path(3)
+    for step in (ForcingStep(0, -1), ForcingStep(-1, 1), ForcingStep(0, 3), ForcingStep(3, 1)):
+        trace = ForcingTrace(0b001, (step,), 0b011)
+        assert zf.trace_violation(g, trace) == "step 0: vertex out of range"
+        assert not zf.verify_trace(g, trace)
+
+
 def test_hand_built_c5_trace_verifies():
     g = zf.cycle(5)
     by_hand = ForcingTrace(

@@ -120,11 +120,14 @@ def test_find_seed_tags_exceptions():
     assert find_seed(zf.subdivided_k33()) is ExceptionalGraph.SUBDIVIDED_K33
 
 
-def test_find_seed_rejects_low_degree_or_disconnected():
-    with pytest.raises(ValueError):
-        find_seed(zf.cycle(5))
-    with pytest.raises(ValueError):
-        find_seed(zf.Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (4, 5)]))
+def test_ratio_construction_rejects_graphs_outside_its_hypothesis():
+    # A claw beside an edge (disconnected, D = 3) and C5 (connected, D = 2).
+    claw_and_edge = zf.Graph.from_edges(6, [(0, 1), (0, 2), (0, 3), (4, 5)])
+    for g in (claw_and_edge, zf.cycle(5)):
+        for construct in (find_seed, lambda g: greedy_extend(g, 1), greedy_ratio_zfs):
+            with pytest.raises(ValueError, match="^the ratio construction needs a connected "
+                                                 "graph of maximum degree >= 3$"):
+                construct(g)
 
 
 def test_find_seed_valid_on_corpus_without_full_fallback(random_corpus):
