@@ -40,7 +40,6 @@ _SOURCES = {
     ),
     "bounds": (
         "BoundEntry", "BoundReport", "bounds_report", "expected_size",
-        "upper_degree_ratio", "upper_degree_refined", "upper_noncomplete",
         "vertex_probability",
     ),
     "ratmath": (

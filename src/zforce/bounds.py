@@ -38,10 +38,13 @@ class BoundEntry:
     name: str
     kind: str  # "upper" | "lower"
     value: Fraction | None  # None when not applicable
-    applicable: bool
-    reason: str
+    reason: str  # empty when applicable
     status: str  # "proven" | "conjectured"
     source: str
+
+    @property
+    def applicable(self) -> bool:
+        return self.value is not None
 
     def to_json_dict(self) -> dict:
         return {
@@ -53,30 +56,6 @@ class BoundEntry:
             "status": self.status,
             "source": self.source,
         }
-
-
-# -- closed-form bound values ----------------------------------------------
-
-
-def upper_degree_ratio(n: int, d: int) -> Fraction:
-    """d*n/(d+1) for connected graphs of maximum degree d >= 2."""
-    if d < 2:
-        raise ValueError("needs maximum degree >= 2")
-    return Fraction(d * n, d + 1)
-
-
-def upper_degree_refined(n: int, d: int) -> Fraction:
-    """((d-2)*n + 2)/(d-1), tight on complete and balanced bipartite graphs."""
-    if d < 2:
-        raise ValueError("needs maximum degree >= 2")
-    return Fraction((d - 2) * n + 2, d - 1)
-
-
-def upper_noncomplete(n: int, d: int) -> Fraction:
-    """(d-1)*n/d for connected, max degree d >= 3, not complete on d+1."""
-    if d < 3:
-        raise ValueError("needs maximum degree >= 3")
-    return Fraction((d - 1) * n, d)
 
 
 # -- the random-order expectation ------------------------------------------
@@ -226,19 +205,18 @@ def bounds_report(g: Graph, exact: ExactResult | None = None) -> BoundReport:
     def entry(name, kind, status, source, reason, value):
         # An entry applies when it has no reason not to; only then is its
         # value computed.
-        ok = not reason
-        entries.append(BoundEntry(name, kind, value() if ok else None, ok, reason, status, source))
+        entries.append(BoundEntry(name, kind, None if reason else value(), reason, status, source))
 
     entry("degree_ratio", "upper", PROVEN, "d*n/(d+1) for connected graphs",
           "" if conn and d >= 2 else "needs connected, max degree >= 2",
-          lambda: upper_degree_ratio(n, d))
+          lambda: Fraction(d * n, d + 1))
     entry("degree_refined", "upper", PROVEN, "((d-2)n+2)/(d-1) for connected graphs",
           "" if conn and d >= 2 else "needs connected, max degree >= 2",
-          lambda: upper_degree_refined(n, d))
+          lambda: Fraction((d - 2) * n + 2, d - 1))
     entry("noncomplete", "upper", PROVEN, "(d-1)n/d for connected non-complete graphs",
           "" if conn and d >= 3 and tag is not ExceptionalGraph.COMPLETE
           else "needs connected, max degree >= 3, and not the complete graph",
-          lambda: upper_noncomplete(n, d))
+          lambda: Fraction((d - 1) * n, d))
     entry("exception_free", "upper", PROVEN, "(d-2)n/(d-1) outside six exceptional graphs",
           "needs connected, max degree >= 3" if not conn or d < 3
           else f"exceptional graph: {tag.value}" if tag is not None else "",

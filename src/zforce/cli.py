@@ -79,25 +79,25 @@ def _input_lines(args: argparse.Namespace) -> Iterator[tuple[int, str]]:
                 yield lineno, line
 
 
-def _load_graph(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Graph:
+def _load_graph(args: argparse.Namespace) -> Graph:
     """The first non-blank input line as graph6, or else all the input
     lines as an edge list."""
     lines = (line for _, line in _input_lines(args))
     first = next(lines, None)
     if first is None:
-        parser.error("empty graph input")
+        raise ValueError("empty graph input")
     if looks_like_graph6(first):
         return parse_graph6(first)
     return parse_edge_list("\n".join([first, *lines]))
 
 
-def _parse_set(spec: str, g: Graph, parser: argparse.ArgumentParser) -> int:
+def _parse_set(spec: str, g: Graph) -> int:
     try:
         verts = [int(tok) for tok in spec.split(",") if tok.strip() != ""]
     except ValueError:
-        parser.error(f"bad vertex set {spec!r}; expected comma-separated indices")
+        raise ValueError(f"bad vertex set {spec!r}; expected comma-separated indices") from None
     if any(not 0 <= v < g.n for v in verts):
-        parser.error(f"vertex set {spec!r} out of range for n={g.n}")
+        raise ValueError(f"vertex set {spec!r} out of range for n={g.n}")
     return mask_of(verts)
 
 
@@ -113,11 +113,11 @@ def _add_quiet(sub: argparse.ArgumentParser) -> None:
                      help="print a bare number instead of JSON")
 
 
-def _cmd_closure(args, parser) -> int:
+def _cmd_closure(args) -> int:
     from .forcing import closure
 
-    g = _load_graph(args, parser)
-    z = _parse_set(args.set, g, parser)
+    g = _load_graph(args)
+    z = _parse_set(args.set, g)
     trace = closure(g, z)
     complete = trace.closure == g.full_mask
     if args.quiet:
@@ -129,10 +129,10 @@ def _cmd_closure(args, parser) -> int:
     return EXIT_OK if complete else EXIT_NOT_FORCING
 
 
-def _cmd_exact(args, parser) -> int:
+def _cmd_exact(args) -> int:
     from .exact import zero_forcing_number
 
-    g = _load_graph(args, parser)
+    g = _load_graph(args)
     res = zero_forcing_number(g, args.budget)
     if args.quiet:
         print(res.value if res.complete else f"{res.lower}:{res.upper}")
@@ -148,10 +148,10 @@ def _cmd_exact(args, parser) -> int:
     return EXIT_OK if res.complete else EXIT_BUDGET
 
 
-def _cmd_heuristic(args, parser) -> int:
+def _cmd_heuristic(args) -> int:
     from .heuristics import greedy_ratio_zfs, random_zfs, subcubic_girth5_zfs
 
-    g = _load_graph(args, parser)
+    g = _load_graph(args)
     if args.method == "greedy":
         res = greedy_ratio_zfs(g)
     elif args.method == "subcubic":
@@ -167,16 +167,16 @@ def _cmd_heuristic(args, parser) -> int:
     return EXIT_OK
 
 
-def _cmd_bounds(args, parser) -> int:
+def _cmd_bounds(args) -> int:
     from .bounds import bounds_report
     from .exact import zero_forcing_number
 
     if args.budget is not None:
         if args.budget < 0:
-            parser.error(f"budget must be >= 0, got {args.budget}")
+            raise ValueError(f"budget must be >= 0, got {args.budget}")
         if not args.exact:
-            parser.error("--budget caps the exact solver; it needs --exact")
-    g = _load_graph(args, parser)
+            raise ValueError("--budget caps the exact solver; it needs --exact")
+    g = _load_graph(args)
     exact = zero_forcing_number(g, args.budget) if args.exact else None
     report = bounds_report(g, exact=exact)
     if args.quiet:
@@ -186,7 +186,7 @@ def _cmd_bounds(args, parser) -> int:
     return EXIT_VIOLATION if report.violations else EXIT_OK
 
 
-def _cmd_verify(args, parser) -> int:
+def _cmd_verify(args) -> int:
     from .bounds import bounds_report
     from .exact import zero_forcing_number
 
@@ -225,7 +225,7 @@ def _cmd_verify(args, parser) -> int:
     return EXIT_USAGE if errors else EXIT_OK
 
 
-def _cmd_gen(args, parser) -> int:
+def _cmd_gen(args) -> int:
     g = generate(args.family, *args.params)
     if args.format == "graph6":
         print(to_graph6(g))
@@ -236,11 +236,11 @@ def _cmd_gen(args, parser) -> int:
     return EXIT_OK
 
 
-def _cmd_expect(args, parser) -> int:
+def _cmd_expect(args) -> int:
     from .bounds import expected_size
     from .ratmath import fraction_json
 
-    g = _load_graph(args, parser)
+    g = _load_graph(args)
     value = expected_size(g)
     if args.quiet:
         print(float(value))
@@ -311,14 +311,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args, extra = build_parser().parse_known_args(argv)
     try:
-        code = args.func(args, args.parser)
+        if extra:
+            raise ValueError(f"unrecognized arguments: {' '.join(extra)}")
+        code = args.func(args)
         sys.stdout.flush()
     except ValueError as exc:
-        # Bad input or parameters, undecodable bytes included: report
-        # through the subcommand's parser, so the message carries its usage.
+        # Bad input or parameters, undecodable bytes and unknown arguments
+        # included: report through the subcommand's parser, so the message
+        # carries its usage.
         args.parser.error(str(exc))
     except BrokenPipeError:
         # The reader closed the pipe (`zforce ... | head`): stop quietly.

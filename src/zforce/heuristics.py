@@ -89,6 +89,15 @@ def _ratio_degree(g: Graph) -> int:
     return d
 
 
+def _check_subcubic(g: Graph) -> None:
+    """Raise ValueError unless g meets the hypothesis of the subcubic
+    girth-5 construction: connected, with D = 3 and girth >= 5 (a forest
+    counts)."""
+    if g.max_degree() != 3 or not is_connected(g) or (girth(g) or 5) < 5:
+        raise ValueError("the subcubic construction needs a connected graph "
+                         "of maximum degree 3 and girth >= 5")
+
+
 def _seed_closure(g: Graph, d: int, z: VertexSet, add: VertexSet,
                   filled: VertexSet = 0, boundary: VertexSet = 0) -> tuple[VertexSet, VertexSet] | None:
     """The closure of filled | add and its stalled boundary if z, the set
@@ -462,20 +471,14 @@ def find_extension_subgraph(g: Graph, f: VertexSet) -> ExtensionSubgraph:
     Ties are broken by fewest unfilled vertices, then lexicographically,
     so the result is deterministic.  The search runs level by level over
     the paths leaving the filled boundary, up to order 2*log2(n) + 1, and
-    stops at the first order that holds a candidate.  Requires
-    a connected subcubic graph of girth at least 5, f a closure inducing
-    a connected subgraph of order at least 3, and an unfilled vertex of
+    stops at the first order that holds a candidate.  Requires the
+    hypothesis of ``subcubic_girth5_zfs`` on g, f a closure inducing a
+    connected subgraph of order at least 3, and an unfilled vertex of
     degree at least 2.
     Minimality gives every vertex the augmentation rules name a private
     neighbor.
     """
-    n = g.n
-    if g.max_degree() > 3:
-        raise ValueError("extension subgraphs need maximum degree <= 3")
-    if (girth(g) or n + 1) < 5:
-        raise ValueError("extension subgraphs need girth >= 5")
-    if not is_connected(g):
-        raise ValueError("extension subgraphs need a connected graph")
+    _check_subcubic(g)
     _check_subset(g, f)
     closed, boundary = closure_core(g.adj, f, f)  # boundary: stalled vertices of f
     if closed != f:
@@ -542,13 +545,8 @@ def subcubic_girth5_zfs(g: Graph) -> HeuristicResult:
     one of the two unfilled neighbors of each boundary vertex is added,
     which forces the remaining pendants.
     """
+    _check_subcubic(g)
     n = g.n
-    if g.max_degree() != 3:
-        raise ValueError("needs maximum degree exactly 3")
-    if (girth(g) or n + 1) < 5:
-        raise ValueError("needs girth at least 5")
-    if not is_connected(g):
-        raise ValueError("needs a connected graph")
     v = next(v for v in range(n) if g.degree(v) == 3)
     u = (g.adj[v] & -g.adj[v]).bit_length() - 1
     z = g.closed_neighborhood(v) ^ (1 << u)
@@ -558,7 +556,7 @@ def subcubic_girth5_zfs(g: Graph) -> HeuristicResult:
         raise AssertionError("the first closure is disconnected")
     # Each closure is checked connected as it is made, and the loop runs
     # while the unfilled region has a vertex of degree >= 2; with the
-    # checks on g above, that is every precondition of the pattern search.
+    # check on g above, that is every precondition of the pattern search.
     branching = mask_of([w for w in range(n) if g.degree(w) >= 2])
     while branching & ~filled:
         pattern = _least_pattern(g, filled, boundary)

@@ -8,13 +8,7 @@ from typing import NamedTuple
 import pytest
 
 import zforce as zf
-from zforce.bounds import (
-    bounds_report,
-    lower_girth_degree,
-    upper_degree_ratio,
-    upper_degree_refined,
-    upper_noncomplete,
-)
+from zforce.bounds import bounds_report, lower_girth_degree
 from zforce.ratmath import (
     girth5_regular_factor,
     harmonic,
@@ -87,22 +81,23 @@ def entry_of(g, name):
 
 
 def test_degree_ratio_values():
-    assert upper_degree_ratio(4, 3) == 3
-    assert upper_degree_ratio(10, 3) == Fraction(15, 2)
-    assert upper_degree_ratio(6, 2) == 4
-    with pytest.raises(ValueError):
-        upper_degree_ratio(5, 1)
+    assert entry_of(zf.complete(4), "degree_ratio").value == 3
+    assert entry_of(zf.generate("petersen"), "degree_ratio").value == Fraction(15, 2)
+    assert entry_of(zf.cycle(6), "degree_ratio").value == 4
+    p2 = entry_of(zf.path(2), "degree_ratio")
+    assert not p2.applicable and p2.value is None
+    assert p2.reason == "needs connected, max degree >= 2"
 
 
 def test_degree_refined_values():
-    assert upper_degree_refined(6, 2) == 2  # cycles are extremal
-    assert upper_degree_refined(8, 4) == 6
-    assert upper_degree_refined(4, 3) == 3
+    assert entry_of(zf.cycle(6), "degree_refined").value == 2  # cycles are extremal
+    assert entry_of(zf.complete_bipartite(4, 4), "degree_refined").value == 6
+    assert entry_of(zf.complete(4), "degree_refined").value == 3
 
 
 def test_noncomplete_values():
-    assert upper_noncomplete(10, 3) == Fraction(20, 3)
-    assert upper_noncomplete(6, 3) == 4
+    assert entry_of(zf.generate("petersen"), "noncomplete").value == Fraction(20, 3)
+    assert entry_of(zf.complete_bipartite(3, 3), "noncomplete").value == 4
 
 
 def test_girth_degree_lower_values():

@@ -127,6 +127,15 @@ def test_usage_error_shows_the_subcommand_usage(capsys):
         assert capsys.readouterr().err.startswith(usage)
 
 
+def test_unknown_argument_shows_the_subcommand_usage(capsys):
+    for argv, usage in ((["verify", "--bogus"], "usage: zforce verify"),
+                        (["bounds", "--g6", "Bg", "--nope"], "usage: zforce bounds")):
+        code, out, err = outcome(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(usage)
+        assert err.endswith(f"error: unrecognized arguments: {argv[-1]}\n")
+
+
 def test_closed_output_pipe_exits_quietly():
     # `zforce bounds ... | head -5` where head has already gone away
     read_end, write_end = os.pipe()

@@ -722,12 +722,17 @@ def test_subcubic_zfs_on_trees_with_degree_three():
 
 
 def test_subcubic_zfs_preconditions():
-    with pytest.raises(ValueError):
-        subcubic_girth5_zfs(zf.cycle(6))  # max degree 2
-    with pytest.raises(ValueError):
-        subcubic_girth5_zfs(zf.complete(4))  # girth 3
-    with pytest.raises(ValueError):
-        subcubic_girth5_zfs(zf.complete_bipartite(3, 3))  # girth 4
+    petersen = zf.generate("petersen")
+    two_petersens = zf.Graph.from_edges(
+        20, petersen.edges() + [(u + 10, v + 10) for u, v in petersen.edges()])
+    message = ("^the subcubic construction needs a connected graph "
+               "of maximum degree 3 and girth >= 5$")
+    # max degree 2, girth 3, girth 4, disconnected
+    for g in (zf.cycle(6), zf.complete(4), zf.complete_bipartite(3, 3), two_petersens):
+        with pytest.raises(ValueError, match=message):
+            subcubic_girth5_zfs(g)
+        with pytest.raises(ValueError, match=message):
+            find_extension_subgraph(g, zf.closure_mask(g, g.closed_neighborhood(0)))
 
 
 # -- traces ------------------------------------------------------------------

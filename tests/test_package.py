@@ -24,9 +24,8 @@ SURFACE = [
     "lower_girth_degree", "mask_of", "parse_edge_list", "parse_graph6", "path",
     "permutation_to_set", "petersen", "random_gnp", "random_regular", "random_zfs",
     "shortest_cycle", "subcubic_girth5_value", "subcubic_girth5_zfs", "subdivided_k33",
-    "to_dot", "to_edge_list", "to_graph6", "trace_violation", "upper_degree_ratio",
-    "upper_degree_refined", "upper_noncomplete", "verify_trace", "vertex_probability",
-    "zero_forcing_number",
+    "to_dot", "to_edge_list", "to_graph6", "trace_violation", "verify_trace",
+    "vertex_probability", "zero_forcing_number",
 ]
 
 
