@@ -151,17 +151,20 @@ def _cmd_exact(args) -> int:
 def _cmd_heuristic(args) -> int:
     from .heuristics import greedy_ratio_zfs, random_zfs, subcubic_girth5_zfs
 
+    if args.method != "random" and (args.trials is not None or args.seed is not None):
+        raise ValueError("--trials and --seed set the random-order draws; they need --method random")
     g = _load_graph(args)
     if args.method == "greedy":
         res = greedy_ratio_zfs(g)
     elif args.method == "subcubic":
         res = subcubic_girth5_zfs(g)
     else:
-        res = random_zfs(g, args.trials, args.seed)
+        res = random_zfs(g, 100 if args.trials is None else args.trials,
+                         0 if args.seed is None else args.seed)
     if args.quiet:
         print(res.size)
     else:
-        payload = res.to_json_dict()
+        payload = res.to_json_dict(g)
         payload["claim_held"] = res.size <= res.bound_claim
         _emit(payload)
     return EXIT_OK
@@ -274,8 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_source_args(p)
     p.add_argument("--method", choices=["greedy", "subcubic", "random"],
                    default="greedy")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--trials", type=int, default=None,
+                   help="random orders to draw (default 100); --method random only")
+    p.add_argument("--seed", type=int, default=None,
+                   help="seed of the random orders (default 0); --method random only")
     _add_quiet(p)
     p.set_defaults(func=_cmd_heuristic, parser=p)
 

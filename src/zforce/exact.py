@@ -31,10 +31,7 @@ Restart: each closed set keeps the stalled set ``closure_core`` returned
 for it (its vertices that still have unfilled neighbours), and a step
 recloses from stalled | U instead of S | U.  ``nodes_explored``
 counts the closures that ran: a skipped step is neither counted nor
-charged to the budget.  A ceiling prune (skip every
-step as dear as a full set already pushed) would save far more; it waits
-until the benchmark's peak RSS measures the program and not the
-harness's stored outputs.
+charged to the budget.
 """
 
 from __future__ import annotations

@@ -212,9 +212,10 @@ class Graph:
         """A shortest cycle as a vertex tuple, or None for forests (cached).
 
         Knowing the girth, runs a BFS from each root in turn until a
-        non-tree edge closes a walk of that length whose two root paths
-        meet only at the root; that walk is the cycle.  Among shortest
-        cycles the first one met from the smallest root is kept.
+        non-tree edge closes a walk of that length; that walk is the
+        cycle, since its two root paths meet only at the root: a second
+        shared vertex would close a shorter cycle.  Among shortest cycles
+        the first one met from the smallest root is kept.
         """
         target = self.girth
         if target is None:
@@ -237,8 +238,7 @@ class Graph:
                             nxt.append(u)
                         elif parent[v] != u and parent[u] != v and dist[v] + dist[u] + 1 == target:
                             left, right = _root_path(parent, v), _root_path(parent, u)
-                            if len(set(left) & set(right)) == 1:  # meet only at the root
-                                return tuple(left[::-1] + right[:-1])
+                            return tuple(left[::-1] + right[:-1])
                 queue = nxt
         raise AssertionError("shortest cycle not reconstructed")
 

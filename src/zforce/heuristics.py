@@ -15,20 +15,22 @@ guarantee:
   subcubic graphs of girth at least 5, by repeatedly locating a minimal
   extension subgraph straddling the filled boundary and augmenting along
   it.
+
+Each result holds only the set and the size its method claims; the set
+is the replayable witness, and ``closure(g, res.zfs)`` is its forcing
+certificate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import combinations
 from random import Random
 
 from .exact import zero_forcing_number
 from .families import ExceptionalGraph, _shuffle, _stream_seed, exceptional_tag
 from .forcing import (
-    ForcingTrace,
     _check_subset,
     _permutation_to_set,
     closure,
@@ -46,29 +48,21 @@ from .ratmath import (
 
 @dataclass(frozen=True)
 class HeuristicResult:
-    """A zero forcing set together with the guarantee its method promises.
-
-    ``trace`` certifies that ``zfs`` forces ``graph``; it is computed the
-    first time it is read, so a caller that wants only the set never
-    runs the traced closure.
-    """
+    """A zero forcing set together with the guarantee its method promises."""
 
     zfs: VertexSet
     method: str
     bound_claim: Fraction
-    graph: Graph = field(repr=False, kw_only=True)
     exceptional: ExceptionalGraph | None = None
-
-    @cached_property
-    def trace(self) -> ForcingTrace:
-        return closure(self.graph, self.zfs)
 
     @property
     def size(self) -> int:
         return self.zfs.bit_count()
 
-    def to_json_dict(self) -> dict:
-        out = self.trace.to_json_dict()
+    def to_json_dict(self, g: Graph) -> dict:
+        """The forcing certificate of ``zfs`` on g, the graph it was built
+        for, with the method, size and claim."""
+        out = closure(g, self.zfs).to_json_dict()
         out["method"] = self.method
         out["size"] = self.size
         out["bound_claim"] = fraction_json(self.bound_claim)
@@ -304,7 +298,6 @@ def _extend(g: Graph, d: int, z: VertexSet, filled: VertexSet, boundary: VertexS
         zfs=z,
         method="greedy",
         bound_claim=Fraction((d - 2) * g.n, d - 1),
-        graph=g,
     )
 
 
@@ -334,7 +327,6 @@ def greedy_ratio_zfs(g: Graph) -> HeuristicResult:
         zfs=witness,
         method="exceptional",
         bound_claim=Fraction(witness.bit_count()),
-        graph=g,
         exceptional=found,
     )
 
@@ -372,7 +364,6 @@ def random_zfs(g: Graph, trials: int, seed: int = 0) -> HeuristicResult:
         zfs=best,
         method="random",
         bound_claim=Fraction(total, trials),
-        graph=g,
     )
 
 
@@ -438,9 +429,8 @@ def _least_pattern(g: Graph, f: VertexSet, boundary: VertexSet) -> ExtensionSubg
                 if y == prev:
                     continue
                 if f >> y & 1:
-                    if y == f0:
-                        if order >= 3:
-                            closing.append((3, "d", (), path))
+                    if y == f0:  # order >= 3: at order 2, f0 is prev
+                        closing.append((3, "d", (), path))
                     elif order >= 2 and grow:
                         pending.append((0, "c", path + (y,), ()))
                 elif on_path >> y & 1:  # y is unfilled, so it is not f0
@@ -587,5 +577,4 @@ def subcubic_girth5_zfs(g: Graph) -> HeuristicResult:
         zfs=z,
         method="subcubic",
         bound_claim=subcubic_girth5_value(n),
-        graph=g,
     )

@@ -65,6 +65,11 @@ def test_exact_json_and_quiet(capsys):
     assert code == 0 and payload["value"] == 3 and len(payload["witness"]) == 3
     code, out, _ = run(capsys, "exact", "--g6", "C~", "--quiet")
     assert out.strip() == "3"
+    # --quiet prints the closure's size, or the constructed set's.
+    code, out, _ = run(capsys, "closure", "--g6", "Dhc", "--set", "0", "--quiet")
+    assert code == 3 and out == "1\n"
+    code, out, _ = run(capsys, "heuristic", "--g6", "C~", "--quiet")
+    assert code == 0 and out == "3\n"
 
 
 def test_exact_budget_exit(capsys):
@@ -154,9 +159,9 @@ def test_closed_output_pipe_exits_quietly():
 
 def test_heuristic_methods(capsys):
     pet = zf.to_graph6(zf.generate("petersen"))
-    for method in ("greedy", "subcubic", "random"):
-        code, out, _ = run(capsys, "heuristic", "--g6", pet, "--method", method,
-                           "--trials", "50", "--seed", "1")
+    for method, options in (("greedy", ()), ("subcubic", ()),
+                            ("random", ("--trials", "50", "--seed", "1"))):
+        code, out, _ = run(capsys, "heuristic", "--g6", pet, "--method", method, *options)
         payload = json.loads(out)
         assert code == 0 and payload["claim_held"]
         assert payload["method"] in (method, "exceptional")
@@ -169,6 +174,21 @@ def test_heuristic_precondition_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["heuristic", "--g6", "C~", "--method", "subcubic"])
     assert exc.value.code == 2
+
+
+def test_heuristic_random_options_need_method_random(capsys):
+    # The greedy and subcubic constructions draw nothing, so --trials and
+    # --seed would change nothing there: a usage error, before any input is read.
+    for method in ("greedy", "subcubic"):
+        for option in (["--trials", "5"], ["--seed", "0"]):
+            code, out, err = outcome(capsys, "heuristic", "--g6", "IKoz_EOWO",
+                                     "--method", method, *option)
+            assert code == 2 and out == "" and "--method random" in err
+    # random keeps its defaults: 100 trials, seed 0.
+    _, default, _ = run(capsys, "heuristic", "--g6", "IKoz_EOWO", "--method", "random")
+    _, explicit, _ = run(capsys, "heuristic", "--g6", "IKoz_EOWO", "--method", "random",
+                         "--trials", "100", "--seed", "0")
+    assert default == explicit
 
 
 def test_bounds_json(capsys):
@@ -246,6 +266,33 @@ def test_hunt_reports_a_flagged_graph(capsys, monkeypatch):
     # The hunt is no longer a switch: the old flag is a usage error.
     code, out, err = outcome(capsys, "verify", "--g6", pet, "--hunt-conjecture")
     assert code == 2 and out == "" and "--hunt-conjecture" in err
+
+
+def test_a_proven_violation_exits_5(capsys, monkeypatch):
+    # No graph breaks a proven bound, so plant one where the verify and
+    # bounds commands import the catalog from.
+    from zforce import bounds
+
+    real = bounds.bounds_report
+
+    def violated(g, **kwargs):
+        return dataclasses.replace(real(g, **kwargs), violations=("degree_ratio",))
+
+    monkeypatch.setattr(bounds, "bounds_report", violated)
+    pet = zf.to_graph6(zf.generate("petersen"))
+    code, out, _ = run(capsys, "verify", "--g6", pet)
+    record, summary = (json.loads(line) for line in out.splitlines())
+    assert code == 5
+    assert record["violations"] == ["degree_ratio"] and summary["violations"] == 1
+    # A violation outranks a malformed line's exit 2.
+    code, out, _ = run(capsys, "verify", "--g6", f"{pet}\nC~~~")
+    rows = [json.loads(line) for line in out.splitlines()]
+    assert code == 5 and "error" in rows[1]
+    assert rows[-1]["violations"] == 1 and rows[-1]["parse_errors"] == 1
+    code, out, _ = run(capsys, "bounds", "--g6", pet, "--exact")
+    assert code == 5 and json.loads(out)["violations"] == ["degree_ratio"]
+    code, out, _ = run(capsys, "bounds", "--g6", pet, "--exact", "--quiet")
+    assert code == 5 and out == "1\n"
 
 
 def test_verify_reports_malformed_lines(tmp_path, capsys):

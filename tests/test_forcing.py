@@ -145,6 +145,18 @@ def test_verify_trace_rejects_out_of_range_step_vertices():
         assert not zf.verify_trace(g, trace)
 
 
+def test_verify_trace_rejects_forged_initial_sets_and_forces():
+    g = zf.path(3)
+    # vertex 3 does not exist
+    trace = ForcingTrace(0b1001, (ForcingStep(0, 1), ForcingStep(1, 2)), 0b111)
+    assert zf.trace_violation(g, trace) == "initial set out of range"
+    assert not zf.verify_trace(g, trace)
+    # the filled middle vertex has two unfilled neighbors, so it forces neither
+    trace = ForcingTrace(0b010, (ForcingStep(1, 0),), 0b011)
+    assert zf.trace_violation(g, trace) == "step 0: 0 is not the unique unfilled neighbor of 1"
+    assert not zf.verify_trace(g, trace)
+
+
 def test_hand_built_c5_trace_verifies():
     g = zf.cycle(5)
     by_hand = ForcingTrace(

@@ -1,5 +1,6 @@
 """Seeds, greedy extension, randomized sets, extension patterns."""
 
+import dataclasses
 import json
 import random
 import re
@@ -676,11 +677,15 @@ def test_subcubic_zfs_contract_on_corpus(cubic_g5_corpus, exact_z):
 
 
 # Subcubic graphs of girth >= 5 whose runs take the rarer steps: an
-# augmentation of kind b along a path of more than three vertices, one of
-# kind e, and the finishing step that adds one pendant of each boundary
-# vertex.  Found by searching random cubic girth-5 graphs, some with edges
-# deleted and pendant paths attached.
+# augmentation of kind b along a path of three vertices, one along more,
+# one of kind e, and the finishing step that adds one pendant of each
+# boundary vertex.  The first is the tree 0-1 0-4 0-5 1-2 1-7 2-3 2-6: the
+# start {0, 4, 5} fills {0, 1, 4, 5}, and the path 1-2-3 to the leaf 3 is
+# filled by adding 3 alone, which forces 2.  The others were found by
+# searching random cubic girth-5 graphs, some with edges deleted and
+# pendant paths attached.
 RARE_SUBCUBIC_STEPS = {
+    "Gha@A?": "b3",
     "O?iE?gGKB??L@COGa??C?": "b",
     "g???_O??_?C?????c?A??????@[O???__?_?@O_C???A?_?_a????G????G??`@??O?@?CG??_???A?O???"
     "CC??_???_AO?`?O??G?@@????O?AO?B???_G???CC@@?C???": "e",
@@ -706,7 +711,10 @@ def test_subcubic_zfs_takes_its_rarer_steps_within_the_bound(monkeypatch):
         patterns.clear()
         res = subcubic_girth5_zfs(g)  # per-step contracts assert internally
         assert zf.is_zero_forcing_set(g, res.zfs) and subcubic_size_ok(g.n, res.size), code
-        if step == "b":
+        if step == "b3":
+            assert patterns == [ExtensionSubgraph("b", (1, 2, 3), ())]
+            assert res.zfs == mask_of([0, 3, 4, 5])
+        elif step == "b":
             assert any(h.kind == "b" and len(h.path) > 3 for h in patterns)
         elif step == "e":
             assert any(h.kind == "e" for h in patterns)
@@ -748,11 +756,12 @@ def test_traces_certify_every_construction(random_corpus, cubic_tf_corpus, cubic
         if g in cubic_g5_corpus:
             results.append(subcubic_girth5_zfs(g))
         for res in results:
-            trace = res.trace
+            trace = zf.closure(g, res.zfs)
             assert trace.initial == res.zfs
             assert trace.closure == g.full_mask
             assert zf.verify_trace(g, trace)
-            assert trace == zf.closure(g, res.zfs)
+            payload = res.to_json_dict(g)
+            assert {key: payload[key] for key in ("initial", "steps", "closure")} == trace.to_json_dict()
 
 
 def test_constructions_run_the_traced_closure_only_when_read(monkeypatch, named_graphs):
@@ -768,17 +777,16 @@ def test_constructions_run_the_traced_closure_only_when_read(monkeypatch, named_
     for name, module in list(sys.modules.items()):
         if name.startswith("zforce.") and vars(module).get("closure") is real:
             monkeypatch.setattr(module, "closure", counted)
-    pet = zf.generate("petersen")
-    results = [greedy_ratio_zfs(pet), greedy_ratio_zfs(named_graphs["K33"]),
-               subcubic_girth5_zfs(pet), zf.random_zfs(pet, 8, 0)]
+    pet, k33 = zf.generate("petersen"), named_graphs["K33"]
+    built = [(pet, greedy_ratio_zfs(pet)), (k33, greedy_ratio_zfs(k33)),
+             (pet, subcubic_girth5_zfs(pet)), (pet, zf.random_zfs(pet, 8, 0))]
     assert calls == []
-    for res in results:
-        assert res.trace is res.trace  # computed once, then kept
-    assert calls == [res.zfs for res in results]
-    assert "graph" not in repr(results[0])
-    res = results[0]
-    with pytest.raises(TypeError):  # the graph is keyword-only
-        heuristics.HeuristicResult(res.zfs, res.method, res.bound_claim, res.trace)
+    for g, res in built:
+        res.to_json_dict(g)  # the certificate is built from the graph given
+    assert calls == [res.zfs for _, res in built]
+    # A result holds its set and its claim, not the graph.
+    assert [f.name for f in dataclasses.fields(heuristics.HeuristicResult)] == [
+        "zfs", "method", "bound_claim", "exceptional"]
 
 
 # -- outputs on a fixed batch ------------------------------------------------
@@ -787,10 +795,10 @@ def test_constructions_run_the_traced_closure_only_when_read(monkeypatch, named_
 def construct_line(g: zf.Graph) -> str:
     """The greedy, subcubic (outside the exceptional graphs) and random-order
     sets with their traces, and the exact expected size, as one JSON line."""
-    record = {"greedy": greedy_ratio_zfs(g).to_json_dict()}
+    record = {"greedy": greedy_ratio_zfs(g).to_json_dict(g)}
     if zf.exceptional_tag(g) is None:
-        record["subcubic"] = subcubic_girth5_zfs(g).to_json_dict()
-    record["random"] = zf.random_zfs(g, 32, 0).to_json_dict()
+        record["subcubic"] = subcubic_girth5_zfs(g).to_json_dict(g)
+    record["random"] = zf.random_zfs(g, 32, 0).to_json_dict(g)
     e = zf.expected_size(g)
     record["expected_size"] = [e.numerator, e.denominator]
     return json.dumps(record) + "\n"
