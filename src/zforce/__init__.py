@@ -14,7 +14,7 @@ from importlib import import_module as _import_module
 
 _SOURCES = {
     "graph": (
-        "Graph", "VertexSet", "bit_list", "bits", "components", "girth",
+        "Graph", "VertexSet", "bit_list", "bits", "girth",
         "is_connected", "mask_of", "shortest_cycle",
     ),
     "codec": (
@@ -30,7 +30,6 @@ _SOURCES = {
     "forcing": (
         "ForcingStep", "ForcingTrace", "closure", "closure_mask",
         "is_zero_forcing_set", "permutation_to_set", "trace_violation",
-        "verify_trace",
     ),
     "exact": ("ExactResult", "brute_force_oracle", "zero_forcing_number"),
     "heuristics": (

@@ -48,7 +48,7 @@ from .graph import Graph, VertexSet, bit_list, girth, mask_of
 class ExactResult:
     """Outcome of an exact computation: lower <= Z <= upper.
 
-    ``witness`` is always a zero forcing set of size ``upper``.
+    ``witness`` is always a zero forcing set, and ``upper`` is its size.
     ``complete`` holds iff lower == upper, and then ``value`` is Z and
     the witness a minimum set; otherwise ``value`` is None.
     ``nodes_explored`` counts closure invocations.
@@ -57,9 +57,15 @@ class ExactResult:
     value: int | None
     witness: VertexSet
     nodes_explored: int
-    complete: bool
     lower: int
-    upper: int
+
+    @property
+    def upper(self) -> int:
+        return self.witness.bit_count()
+
+    @property
+    def complete(self) -> bool:
+        return self.lower == self.upper
 
 
 def _component_lower_bound(g: Graph) -> int:
@@ -147,9 +153,7 @@ def zero_forcing_number(g: Graph, budget: int | None = None) -> ExactResult:
         used += ran
         lower += sub_lower
         witness |= sub_witness
-    upper = witness.bit_count()
-    complete = lower == upper
-    return ExactResult(lower if complete else None, witness, used, complete, lower, upper)
+    return ExactResult(lower if lower == witness.bit_count() else None, witness, used, lower)
 
 
 def brute_force_oracle(g: Graph) -> ExactResult:
@@ -166,5 +170,5 @@ def brute_force_oracle(g: Graph) -> ExactResult:
             z = mask_of(combo)
             explored += 1
             if closure_core(g.adj, z, z)[0] == full:
-                return ExactResult(k, z, explored, True, k, k)
+                return ExactResult(k, z, explored, k)
     raise AssertionError("unreachable")  # pragma: no cover

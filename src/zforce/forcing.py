@@ -147,10 +147,6 @@ def trace_violation(g: Graph, trace: ForcingTrace) -> str | None:
     return None
 
 
-def verify_trace(g: Graph, trace: ForcingTrace) -> bool:
-    return trace_violation(g, trace) is None
-
-
 def permutation_to_set(g: Graph, order: list[int]) -> VertexSet:
     """Zero forcing set induced by a linear order of the vertices.
 

@@ -77,10 +77,8 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        rows = [0] * n
+        rows = [0] * n  # a loop sets its own bit, which __post_init__ rejects
         for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u},{v}) out of range for n={n}")
             rows[u] |= 1 << v
@@ -266,11 +264,6 @@ def reachable(g: Graph, start: int, within: VertexSet | None = None) -> VertexSe
 
 def is_connected(g: Graph) -> bool:
     return len(g.components) == 1
-
-
-def components(g: Graph) -> list[VertexSet]:
-    """Connected components as bitmasks, ordered by smallest vertex (cached)."""
-    return list(g.components)
 
 
 def girth(g: Graph) -> int | None:

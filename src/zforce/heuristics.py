@@ -38,12 +38,7 @@ from .forcing import (
     is_zero_forcing_set,
 )
 from .graph import Graph, VertexSet, bit_list, bits, girth, is_connected, mask_of, reachable, shortest_cycle
-from .ratmath import (
-    cost_within_log_budget,
-    fraction_json,
-    running_ratio_ok,
-    subcubic_girth5_value,
-)
+from .ratmath import fraction_json, log_budget, running_ratio_ok, subcubic_girth5_value
 
 
 @dataclass(frozen=True)
@@ -389,10 +384,6 @@ class ExtensionSubgraph:
     def vertex_set(self) -> VertexSet:
         return mask_of(self.path) | mask_of(self.cycle)
 
-    @property
-    def order(self) -> int:
-        return self.vertex_set.bit_count()
-
 
 def _least_pattern(g: Graph, f: VertexSet, boundary: VertexSet) -> ExtensionSubgraph:
     """``find_extension_subgraph`` past its checks, given the filled
@@ -413,7 +404,7 @@ def _least_pattern(g: Graph, f: VertexSet, boundary: VertexSet) -> ExtensionSubg
     no candidate of its order is pending.
     """
     degrees, neighbors = g.degrees, g.neighbors
-    cap_order = _order_cap(g.n)
+    cap_order = log_budget(g.n) + 1  # 2*log2(n) + 1
     level = [((v,), 1 << v) for v in bits(boundary)]
     pending: list = []  # kinds a, b and c of the next order, as (rank, kind, path, cycle)
     for order in range(1, cap_order + 1):
@@ -448,11 +439,6 @@ def _least_pattern(g: Graph, f: VertexSet, boundary: VertexSet) -> ExtensionSubg
             return ExtensionSubgraph(*min(closing)[1:])
         level = next_level
     raise AssertionError("no extension subgraph within the order cap")
-
-
-def _order_cap(n: int) -> int:
-    """The largest order an extension subgraph may have: 2*log2(n) + 1."""
-    return (n * n).bit_length()
 
 
 def find_extension_subgraph(g: Graph, f: VertexSet) -> ExtensionSubgraph:
@@ -556,7 +542,7 @@ def subcubic_girth5_zfs(g: Graph) -> HeuristicResult:
         cost = add.bit_count()
         new_filled, boundary = closure_core(adj, filled | add, boundary | add)
         gain = (new_filled & ~filled).bit_count()
-        if not cost_within_log_budget(n, cost):
+        if cost > log_budget(n):
             raise AssertionError(f"augmentation cost {cost} above 2*log2({n})")
         if gain < 2 * cost + 1:
             raise AssertionError(f"augmentation gained {gain} < {2 * cost + 1}")

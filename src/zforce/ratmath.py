@@ -107,6 +107,6 @@ def running_ratio_ok(n: int, z_size: int, closure_size: int) -> bool:
     return n ** m >= 1 << t
 
 
-def cost_within_log_budget(n: int, cost: int) -> bool:
-    """Exact check of cost <= 2*log2(n): compare 2**cost with n**2."""
-    return (1 << cost) <= n * n
+def log_budget(n: int) -> int:
+    """floor(2*log2(n)), exactly: the largest c with 2**c <= n**2."""
+    return (n * n).bit_length() - 1

@@ -24,7 +24,7 @@ def build_random_corpus(count: int = 500) -> list[zf.Graph]:
 def has_k33_component(g: zf.Graph) -> bool:
     return any(
         zf.complete_bipartite_parts(g.induced(c)) == (3, 3)
-        for c in zf.components(g)
+        for c in g.components
         if c.bit_count() == 6
     )
 

@@ -13,6 +13,8 @@ from zforce.ratmath import (
     girth5_regular_factor,
     harmonic,
     log2_overestimate,
+    log_budget,
+    running_ratio_ok,
     subcubic_girth5_value,
 )
 
@@ -141,6 +143,35 @@ def test_log2_overestimate_exact_direction_at_low_precision():
     for n in (3, 5, 10, 42, 63):
         lg = log2_overestimate(n, frac_bits=16)
         assert n ** lg.denominator <= 2 ** lg.numerator
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: harmonic(-1), "^harmonic number needs r >= 0$"),
+    (lambda: lower_girth_degree(5, 1), "^needs minimum degree >= 2$"),
+    (lambda: girth5_regular_factor(-1), "^regular factor needs r >= 0$"),
+    (lambda: log2_overestimate(0), "^log2 needs n >= 1$"),
+    (lambda: subcubic_girth5_value(3), "^the subcubic bound needs n >= 4$"),
+], ids=["harmonic", "girth_degree_delta", "regular_factor", "log2", "subcubic_value"])
+def test_ratmath_argument_guards(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_log_budget_is_the_largest_c_with_two_to_the_c_within_n_squared():
+    for n in range(1, 2001):
+        c = log_budget(n)
+        assert 2 ** c <= n * n < 2 ** (c + 1), n
+
+
+@pytest.mark.parametrize("n, z_size, closure_size, ok", [
+    (10, 2, 0, True),    # t = |Z| - 2 <= 0: holds whatever |F|
+    (10, 3, 2, False),   # m = 2|F| - 4t = 0
+    (10, 5, 3, False),   # m < 0
+    (2, 5, 7, False),    # m = 2: 2**2 < 2**3, so 3/7 > 1/2 - 1/10
+    (2, 5, 8, True),     # m = 4: 2**4 >= 2**3, so 3/8 <= 1/2 - 1/10
+], ids=["small_set", "zero_margin", "negative_margin", "power_fails", "power_holds"])
+def test_running_ratio_ok_branches(n, z_size, closure_size, ok):
+    assert running_ratio_ok(n, z_size, closure_size) is ok
 
 
 def test_subcubic_value_examples():
@@ -327,9 +358,7 @@ def test_report_sandwich_on_corpus(random_corpus):
 def test_sandwich_checks_both_ends_of_the_interval(lower, upper, violations, flags):
     # An upper entry is judged against the lower end and a lower entry
     # against the upper end, whether or not the interval has closed.
-    complete = lower == upper
-    fake = zf.ExactResult(lower if complete else None, (1 << upper) - 1, 0,
-                          complete, lower, upper)
+    fake = zf.ExactResult(lower if lower == upper else None, (1 << upper) - 1, 0, lower)
     report = bounds_report(zf.generate("petersen"), fake)
     assert (report.violations, report.conjecture_flags) == (violations, flags)
     assert report.exact is fake

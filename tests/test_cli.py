@@ -54,9 +54,11 @@ def test_closure_exit_codes(capsys):
 
 
 def test_closure_bad_set_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["closure", "--g6", "Bg", "--set", "0,9"])
-    assert exc.value.code == 2
+    for spec, message in (("0,9", "vertex set '0,9' out of range for n=3"),
+                          ("a", "bad vertex set 'a'; expected comma-separated indices")):
+        code, out, err = outcome(capsys, "closure", "--g6", "Bg", "--set", spec)
+        assert (code, out) == (2, "")
+        assert err.splitlines()[-1].endswith(f"error: {message}")
 
 
 def test_exact_json_and_quiet(capsys):

@@ -1,5 +1,7 @@
 """graph6 and edge-list codecs."""
 
+from types import SimpleNamespace
+
 import pytest
 
 import zforce as zf
@@ -148,6 +150,19 @@ def test_edge_list_order_above_the_graph6_limit_is_rejected():
     for text in ("99999999999999999999 1", "3000000000", "258048", "258048\n0 1\n"):
         with pytest.raises(ValueError, match="order .* exceeds 258047"):
             parse_edge_list(text)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: parse_graph6("~?"), r"^truncated 3-byte length header \(byte offset 2\)$"),
+    # No rows: past the order check the encoder would index them and fail
+    # at once, where a real graph would have it build an n^2/2-bit stream.
+    (lambda: to_graph6(SimpleNamespace(n=258048, adj=None)),
+     "^n=258048 exceeds the supported graph6 range$"),
+    (lambda: parse_edge_list("3\n0 -1"), "^negative vertex index in edge list$"),
+], ids=["truncated_length_header", "order_above_graph6", "negative_edge_list_index"])
+def test_codec_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_edge_list_roundtrip(named_graphs):

@@ -1,5 +1,7 @@
 """Exact solver against the unpruned oracle and known values."""
 
+import dataclasses
+
 import pytest
 
 import zforce as zf
@@ -106,6 +108,15 @@ def test_budget_interval_flagged():
     assert not res.complete and res.value is None
     assert_sound(g, res, 5)
     assert res.nodes_explored == 3
+
+
+def test_upper_end_and_completeness_derive_from_the_stored_fields():
+    assert [f.name for f in dataclasses.fields(zf.ExactResult)] == [
+        "value", "witness", "nodes_explored", "lower"]
+    open_res = zf.ExactResult(None, 0b1111, 0, 3)
+    assert (open_res.upper, open_res.complete) == (4, False)
+    closed = dataclasses.replace(open_res, value=4, lower=4)
+    assert (closed.upper, closed.complete) == (4, True)
 
 
 def test_lower_bound_seed_counts():

@@ -45,7 +45,7 @@ def test_g2_shape_and_complement_structure():
     assert g.n == 7 and g.edge_count() == 14 and g.is_regular() == 4
     comp = g.complement()
     # complement must be a disjoint triangle plus a 4-cycle
-    comps = zf.components(comp)
+    comps = comp.components
     sizes = sorted(c.bit_count() for c in comps)
     assert sizes == [3, 4]
     for c in comps:
@@ -90,11 +90,24 @@ def test_random_regular_rejects_bad_params():
         zf.random_regular(8, 3, seed=0, min_girth=7, max_tries=3)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: zf.complete(0), "^complete graph needs n >= 1$"),
+    (lambda: zf.complete_bipartite(0, 2), "^complete bipartite graph needs both sides nonempty$"),
+    (lambda: zf.path(0), "^path needs n >= 1$"),
+    (lambda: zf.random_gnp(3, 1.5, 0), "^need n >= 1 and 0 <= p <= 1$"),
+], ids=["complete", "complete_bipartite", "path", "random_gnp"])
+def test_family_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_complete_bipartite_recognizer():
     assert complete_bipartite_parts(zf.complete_bipartite(2, 3)) == (2, 3)
     assert complete_bipartite_parts(zf.complete_bipartite(4, 4)) == (4, 4)
     assert complete_bipartite_parts(zf.cycle(4)) == (2, 2)
     assert complete_bipartite_parts(zf.cycle(5)) is None
+    # every vertex shares vertex 0's (empty) neighborhood: no second side
+    assert complete_bipartite_parts(zf.Graph(3, (0, 0, 0))) is None
     assert complete_bipartite_parts(zf.complete(3)) is None
 
 

@@ -33,6 +33,17 @@ def test_graph_validation_rejects_asymmetry_and_loops():
         Graph(0, ())
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: Graph(2, (0,)), "^adjacency has 1 rows for n=2$"),
+    (lambda: Graph.from_edges(3, [(0, 0)]), "^loop at vertex 0$"),
+    (lambda: Graph.from_edges(3, [(0, 5)]), r"^edge \(0,5\) out of range for n=3$"),
+    (lambda: zf.petersen().induced(0), "^induced subgraph needs at least one vertex$"),
+], ids=["short_adjacency", "edge_list_loop", "edge_out_of_range", "empty_induced"])
+def test_graph_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_asymmetry_names_the_first_one_way_edge():
     # 2 lists 0 but 0 does not list 2: an edge to an earlier vertex only.
     with pytest.raises(ValueError, match="^asymmetric edge 2-0$"):
@@ -70,7 +81,7 @@ def test_g1_degrees_match_construction():
 def test_two_disjoint_edges_not_connected():
     g = Graph.from_edges(4, [(0, 1), (2, 3)])
     assert not zf.is_connected(g)
-    assert len(zf.components(g)) == 2
+    assert len(g.components) == 2
 
 
 def bfs_components(g):
@@ -103,7 +114,6 @@ def test_components_match_a_bfs_split(random_corpus):
     for g in graphs:
         want = bfs_components(g)
         assert g.components == tuple(want)
-        assert zf.components(g) == want
         assert zf.is_connected(g) == (len(want) == 1)
 
 
@@ -201,7 +211,7 @@ def test_girth_cache_leaves_equality_and_hash_alone():
 
 def test_forest_iff_girth_infinite(random_corpus):
     for g in random_corpus[:150]:
-        is_forest = g.edge_count() == g.n - len(zf.components(g))
+        is_forest = g.edge_count() == g.n - len(g.components)
         assert (zf.girth(g) is None) == is_forest
 
 

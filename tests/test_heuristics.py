@@ -19,13 +19,13 @@ from zforce.graph import bit_list, bits, mask_of, shortest_cycle
 from zforce.heuristics import (
     ExtensionSubgraph,
     _augmentation,
-    _order_cap,
     find_extension_subgraph,
     find_seed,
     greedy_extend,
     greedy_ratio_zfs,
     subcubic_girth5_zfs,
 )
+from zforce.ratmath import log_budget
 
 
 def meets_seed_rule(g, z0):
@@ -563,7 +563,7 @@ def test_extension_subgraph_petersen_shape():
     f = _start_state(g)
     h = find_extension_subgraph(g, f)
     assert h.kind in "abcde"
-    assert h.order <= 7  # 2*log2(10) + 1 rounds down to 7
+    assert h.vertex_set.bit_count() <= 7  # 2*log2(10) + 1 rounds down to 7
     assert h.vertex_set & f  # anchored on the filled boundary
 
 
@@ -621,17 +621,11 @@ def test_search_by_increasing_order_matches_the_full_cap(cubic_g5_corpus):
         filled = _start_state(g)
         while any(g.degree(w) >= 2 for w in bits(g.full_mask ^ filled)):
             h = find_extension_subgraph(g, filled)
-            _, _, kind, path, cyc = min(pattern_candidates(g, filled, _order_cap(g.n)))
+            _, _, kind, path, cyc = min(pattern_candidates(g, filled, log_budget(g.n) + 1))
             assert (h.kind, h.path, h.cycle) == (kind, path, cyc)
             filled = zf.closure_mask(g, filled | _augmentation(g, filled, h))
             calls += 1
     assert calls >= len(cubic_g5_corpus)
-
-
-def test_order_cap_is_two_log2_n_plus_one():
-    for n in range(1, 300):
-        cap = _order_cap(n)
-        assert 2 ** (cap - 1) <= n * n < 2 ** cap
 
 
 def test_augmentation_names_a_vertex_without_one_private_neighbor():
@@ -657,6 +651,11 @@ def test_extension_subgraph_preconditions():
         find_extension_subgraph(zf.complete(5), zf.closure_mask(zf.complete(5), 0b111))
     with pytest.raises(ValueError, match="connected subgraph"):
         find_extension_subgraph(g, 1 << 0 | 1 << 7)
+    # a closed spider body whose unfilled vertices are all leaves
+    tree = zf.Graph.from_edges(10, [(0, 1), (0, 2), (0, 3), (1, 4), (1, 5), (2, 6), (2, 7),
+                                    (3, 8), (3, 9)])
+    with pytest.raises(ValueError, match="^the unfilled region has no vertex of degree >= 2$"):
+        find_extension_subgraph(tree, 0b1111)
 
 
 def test_subcubic_zfs_petersen():
@@ -759,7 +758,7 @@ def test_traces_certify_every_construction(random_corpus, cubic_tf_corpus, cubic
             trace = zf.closure(g, res.zfs)
             assert trace.initial == res.zfs
             assert trace.closure == g.full_mask
-            assert zf.verify_trace(g, trace)
+            assert zf.trace_violation(g, trace) is None
             payload = res.to_json_dict(g)
             assert {key: payload[key] for key in ("initial", "steps", "closure")} == trace.to_json_dict()
 

@@ -1,5 +1,6 @@
 """The package surface: lazy names, resolved in their defining modules."""
 
+import dataclasses
 import importlib
 import json
 import os
@@ -17,14 +18,14 @@ SURFACE = [
     "BoundEntry", "BoundReport", "ExactResult", "ExceptionalGraph", "ExtensionSubgraph",
     "ForcingStep", "ForcingTrace", "Graph", "Graph6Error", "HeuristicResult", "VertexSet",
     "bit_list", "bits", "bounds_report", "brute_force_oracle", "closure", "closure_mask",
-    "complete", "complete_bipartite", "complete_bipartite_parts", "components", "cycle",
+    "complete", "complete_bipartite", "complete_bipartite_parts", "cycle",
     "exceptional_tag", "expected_size", "find_extension_subgraph", "find_seed", "g1", "g2",
     "generate", "girth", "girth5_regular_factor", "greedy_extend", "greedy_ratio_zfs",
     "harmonic", "heawood", "is_connected", "is_zero_forcing_set", "log2_overestimate",
     "lower_girth_degree", "mask_of", "parse_edge_list", "parse_graph6", "path",
     "permutation_to_set", "petersen", "random_gnp", "random_regular", "random_zfs",
     "shortest_cycle", "subcubic_girth5_value", "subcubic_girth5_zfs", "subdivided_k33",
-    "to_dot", "to_edge_list", "to_graph6", "trace_violation", "verify_trace",
+    "to_dot", "to_edge_list", "to_graph6", "trace_violation",
     "vertex_probability", "zero_forcing_number",
 ]
 
@@ -37,6 +38,23 @@ def loaded_after(code: str) -> list[str]:
     proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=env, timeout=60, check=True)
     return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_results_rebuild_through_the_fields_the_benchmark_plants_into():
+    # perfbench/selfcheck.py plants a wrong Z, an extra conjecture flag and
+    # a larger greedy set with dataclasses.replace on these three fields.
+    g = zf.petersen()
+    res = zf.zero_forcing_number(g)
+    wrong = dataclasses.replace(res, value=res.value + 1)
+    assert (wrong.value, wrong.witness, wrong.lower, wrong.upper, wrong.complete) == (
+        6, res.witness, 5, 5, True)
+    report = zf.bounds_report(g, res)
+    flagged = dataclasses.replace(report, conjecture_flags=report.conjecture_flags + ("planted",))
+    assert flagged.conjecture_flags == ("planted",) and flagged.entries == report.entries
+    built = zf.greedy_ratio_zfs(g)
+    spare = g.full_mask & ~built.zfs
+    bigger = dataclasses.replace(built, zfs=built.zfs | (spare & -spare))
+    assert (bigger.size, bigger.bound_claim) == (built.size + 1, built.bound_claim)
 
 
 def test_import_loads_no_submodule():
