@@ -25,6 +25,7 @@ class Graph6Error(ValueError):
 
 _BAD_BYTE = re.compile("[^?-~]")  # outside 63..126
 _SIX_BITS = {63 + k: format(k, "06b") for k in range(64)}
+_OCTAL_DIGITS = bytes.maketrans(b"01234567", bytes(range(8)))
 
 
 def parse_graph6(text: str) -> Graph:
@@ -93,12 +94,22 @@ def to_graph6(g: Graph) -> str:
     else:
         raise ValueError(f"n={n} exceeds the supported graph6 range")
     # Column v holds bits (0,v), ..., (v-1,v): bit u of adj[v] below v,
-    # least significant first.
+    # least significant first.  Each column joins the bits still pending,
+    # and the complete six-bit groups are written out as pairs of octal
+    # digits, so only the output and under n + 6 pending bits are held.
     adj = g.adj
-    stream = "".join([format(adj[v] & ((1 << v) - 1), f"0{v}b")[::-1] for v in range(1, n)])
-    stream += "0" * (-len(stream) % 6)
-    body = "".join([chr(int(stream[k:k + 6], 2) + 63) for k in range(0, len(stream), 6)])
-    return head + body
+    out, pending = bytearray(head, "ascii"), ""
+    for v in range(1, n):
+        pending += format(adj[v] & ((1 << v) - 1), f"0{v}b")[::-1]
+        groups = len(pending) // 6
+        if groups:
+            octal = format(int(pending[:6 * groups], 2), f"0{2 * groups}o")
+            digits = octal.encode().translate(_OCTAL_DIGITS)
+            out.extend([63 + 8 * hi + lo for hi, lo in zip(digits[::2], digits[1::2])])
+            pending = pending[6 * groups:]
+    if pending:
+        out.append(63 + int(pending.ljust(6, "0"), 2))
+    return out.decode("ascii")
 
 
 def parse_edge_list(text: str) -> Graph:

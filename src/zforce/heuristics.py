@@ -7,7 +7,8 @@ guarantee:
   (D-2)n/(D-1), never breaking the seed ratio along the way.
 * ``find_seed`` produces such a seed for every connected graph of
   maximum degree D >= 3 apart from six exceptional graphs, which it
-  recognizes and reports instead.
+  recognizes and reports instead.  ``greedy_ratio_zfs`` is the two
+  steps in turn, with a known minimum set on the exceptional graphs.
 * ``random_zfs`` draws sets from random vertex orders; the exact
   expected size of such a set, an upper bound for the zero forcing
   number, is the bound catalog's ``expected_size``.
@@ -109,11 +110,11 @@ def _seed_closure(g: Graph, d: int, z: VertexSet, add: VertexSet,
     return grown, stalled
 
 
-def _closed_union_minus(g: Graph, keep: list[int], drop: VertexSet) -> VertexSet:
+def _closed_union(g: Graph, vertices) -> VertexSet:
     m = 0
-    for v in keep:
+    for v in vertices:
         m |= g.closed_neighborhood(v)
-    return m & ~drop
+    return m
 
 
 def _girth5_seed(g: Graph, cyc: list[int]) -> VertexSet:
@@ -134,25 +135,19 @@ def _girth5_seed(g: Graph, cyc: list[int]) -> VertexSet:
         for v in cyc:
             off = g.adj[v] & ~cmask
             drop |= off & -off
-        return _closed_union_minus(g, cyc, drop)
+        return _closed_union(g, cyc) & ~drop
     deg3 = [i for i, v in enumerate(cyc) if g.degree(v) == 3]
-    # Rotate so the last cycle position carries degree 3.
-    k = deg3[0]
-    cyc = cyc[k + 1:] + cyc[: k + 1]
-    deg3 = [i for i, v in enumerate(cyc) if g.degree(v) == 3]
-    p = len(deg3)
-    if p <= glen - 2:
-        # The cycle successor of every degree-3 vertex, plus the rotated
-        # endpoint: the whole cycle then forces around, shedding one
-        # off-cycle neighbor per degree-3 vertex.
-        z0 = 1 << cyc[-1]
+    if len(deg3) <= glen - 2:
+        # The first degree-3 vertex and the cycle successor of every
+        # degree-3 vertex: the whole cycle then forces around, shedding
+        # one off-cycle neighbor per degree-3 vertex.
+        z0 = 1 << cyc[deg3[0]]
         for i in deg3:
             z0 |= 1 << cyc[(i + 1) % glen]
         return z0
-    # Exactly one degree-2 vertex: rotate it to the front, drop its successor.
+    # Exactly one degree-2 vertex: the cycle minus its successor.
     j = next(i for i, v in enumerate(cyc) if g.degree(v) == 2)
-    cyc = cyc[j:] + cyc[:j]
-    return mask_of(cyc) & ~(1 << cyc[1])
+    return cmask & ~(1 << cyc[(j + 1) % glen])
 
 
 def _short_girth_candidates(g: Graph, cyc: list[int]):
@@ -173,7 +168,7 @@ def _short_girth_candidates(g: Graph, cyc: list[int]):
         cores.extend(combinations(cyc, size))
     extended = [core + (w,) for core in cores if len(core) <= 3 for w in bits(fringe)]
     for keep in cores + extended:
-        union = _closed_union_minus(g, list(keep), 0)
+        union = _closed_union(g, keep)
         members = bit_list(union)
         for xsize in range(0, min(len(keep) + 1, len(members)) + 1):
             for drop in combinations(members, xsize):
@@ -197,57 +192,43 @@ def _futile_seeds(g: Graph, d: int, v: int) -> bool:
             and (g.girth or 4) >= 4)
 
 
-def find_seed(g: Graph) -> VertexSet | ExceptionalGraph:
-    """A seed set meeting the seed rule, or the exceptional-graph tag.
-
-    Tries, in order: single closed neighborhoods minus one vertex (always
-    enough when some degree is at most D-2), the shortest-cycle
-    construction for girth at least 5, and a structured family around
-    the shortest cycle for girth 3 and 4.  Every non-exceptional
-    connected graph with D >= 3 admits a seed, and a census of every
-    connected graph with n <= 8 finds one in these phases (the test
-    suite repeats it for n <= 7).  A graph that gets past them raises
-    ``AssertionError``.
-    """
-    found = _find_seed(g)
-    return found if isinstance(found, ExceptionalGraph) else found[0]
-
-
-def _find_seed(g: Graph) -> tuple[VertexSet, VertexSet, VertexSet] | ExceptionalGraph:
-    """``find_seed``, with the seed's closure and stalled boundary, as
-    ``_seed_closure`` found them, returned beside the seed."""
-    d = _ratio_degree(g)
-    tag = exceptional_tag(g)
-    if tag is not None:
-        return tag
-
-    def test(z0: VertexSet) -> tuple[VertexSet, VertexSet, VertexSet] | None:
-        start = _seed_closure(g, d, z0, z0)
-        return None if start is None else (z0, *start)
-
-    # Single-vertex seeds, lowest degree first: guaranteed to satisfy the
-    # ratio whenever some vertex has degree at most D-2.
+def _seed_candidates(g: Graph, d: int):
+    """The seed candidates, in the order ``find_seed`` tries them."""
     degrees, neighbors = g.degrees, g.neighbors
     for v in sorted(range(g.n), key=lambda v: (degrees[v], v)):
-        if _futile_seeds(g, d, v):
-            continue
-        closed = g.closed_neighborhood(v)
-        for u in neighbors[v]:
-            found = test(closed & ~(1 << u))
-            if found:
-                return found
-
+        if not _futile_seeds(g, d, v):
+            closed = g.closed_neighborhood(v)
+            for u in neighbors[v]:
+                yield closed & ~(1 << u)
     cyc = shortest_cycle(g)
     if cyc is None:  # min degree >= 2 here, so a cycle must exist
         raise AssertionError("connected graph with all degrees >= 2 has a cycle")
     if len(cyc) >= 5:
-        candidates = [_girth5_seed(g, cyc)]
+        yield _girth5_seed(g, cyc)
     else:
-        candidates = _short_girth_candidates(g, cyc)
-    for z0 in candidates:
-        found = test(z0)
-        if found:
-            return found
+        yield from _short_girth_candidates(g, cyc)
+
+
+def find_seed(g: Graph) -> VertexSet | ExceptionalGraph:
+    """A seed set meeting the seed rule, or the exceptional-graph tag.
+
+    Returns the first candidate that meets the rule, trying in order:
+    each closed neighborhood minus one neighbor, lowest degree first and
+    provably futile ones skipped (always enough when some degree is at
+    most D-2); then the shortest-cycle construction for girth at least
+    5, or a structured family around the shortest cycle for girth 3 and
+    4.  Every non-exceptional connected graph with D >= 3 admits a seed,
+    and a census of every connected graph with n <= 8 finds one among
+    these candidates (the test suite repeats it for n <= 7).  A graph
+    that gets past them raises ``AssertionError``.
+    """
+    d = _ratio_degree(g)
+    tag = exceptional_tag(g)
+    if tag is not None:
+        return tag
+    for z0 in _seed_candidates(g, d):
+        if _seed_closure(g, d, z0, z0) is not None:
+            return z0
     raise AssertionError("no structured seed; graph should be exceptional")
 
 
@@ -257,26 +238,18 @@ def greedy_extend(g: Graph, z0: VertexSet) -> HeuristicResult:
     z0 must meet the seed rule of ``_seed_closure``; else ``ValueError``.
     Each round picks the smallest closure vertex with neighbors both
     inside and outside, adds all but the smallest outside neighbor, and
-    recloses; the seed rule is rechecked every round.
+    recloses; the seed rule is rechecked every round.  No closure vertex
+    is isolated, so the vertices with neighbors both inside and outside
+    are the boundary the closure reports as stalled; each round restarts
+    the closure from that boundary plus the added vertices.
     """
     d = _ratio_degree(g)
     _check_subset(g, z0)
     start = _seed_closure(g, d, z0, z0)
     if start is None:
         raise ValueError("greedy extension needs a seed meeting the seed rule")
-    return _extend(g, d, z0, *start)
-
-
-def _extend(g: Graph, d: int, z: VertexSet, filled: VertexSet, boundary: VertexSet) -> HeuristicResult:
-    """``greedy_extend`` past its checks, from the seed z, its closure and
-    that closure's stalled boundary.
-
-    No closure vertex is isolated, so the vertices with neighbors both
-    inside and outside are the boundary the closure reports as stalled;
-    each round restarts the closure from that boundary plus the added
-    vertices.
-    """
-    adj, full = g.adj, g.full_mask
+    filled, boundary = start
+    z, adj, full = z0, g.adj, g.full_mask
     while filled != full:
         v = (boundary & -boundary).bit_length() - 1
         out = adj[v] & ~filled
@@ -306,23 +279,23 @@ def _exceptional_witness(g: Graph, tag: ExceptionalGraph) -> VertexSet:
 
 
 def greedy_ratio_zfs(g: Graph) -> HeuristicResult:
-    """Seed search plus greedy extension; the (D-2)n/(D-1) bound.
+    """``find_seed`` then ``greedy_extend``; the (D-2)n/(D-1) bound.
 
     On one of the six exceptional graphs the bound is unattainable, so
     the known minimum witness for that family is returned instead, with
     the tag recorded on the result.
     """
-    found = _find_seed(g)
-    if not isinstance(found, ExceptionalGraph):
-        return _extend(g, g.max_degree(), *found)
-    witness = _exceptional_witness(g, found)
+    seed = find_seed(g)
+    if not isinstance(seed, ExceptionalGraph):
+        return greedy_extend(g, seed)
+    witness = _exceptional_witness(g, seed)
     if not is_zero_forcing_set(g, witness):
-        raise AssertionError(f"bad exceptional witness for {found}")
+        raise AssertionError(f"bad exceptional witness for {seed}")
     return HeuristicResult(
         zfs=witness,
         method="exceptional",
         bound_claim=Fraction(witness.bit_count()),
-        exceptional=found,
+        exceptional=seed,
     )
 
 

@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -247,26 +248,38 @@ def test_verify_named_corpus_is_clean(tmp_path, capsys, named_graphs):
     assert summary["violations"] == 0 and summary["conjecture_counterexamples"] == 0
 
 
-def test_hunt_reports_a_flagged_graph(capsys, monkeypatch):
-    # No small graph breaks n/3 + 2, so plant the catalog's flag where
-    # the verify command imports it from.
-    from zforce import bounds
+# Connected and cubic, with n = 14 and Z = 7 > 14/3 + 2: a graph that
+# breaks the conjectured n/3 + 2 the catalog applies to every D = 3 graph.
+THIRD_PLUS_TWO_COUNTEREXAMPLE = "MAICb?HD@@OA@`QA?"
 
-    real = bounds.bounds_report
 
-    def flagged(g, **kwargs):
-        return dataclasses.replace(real(g, **kwargs), conjecture_flags=("third_plus_two",))
-
-    monkeypatch.setattr(bounds, "bounds_report", flagged)
-    pet = zf.to_graph6(zf.generate("petersen"))
-    code, out, err = run(capsys, "verify", "--g6", pet)
-    record, summary = (json.loads(line) for line in out.splitlines())
+def test_hunt_reports_a_flagged_graph(capsys):
+    line = THIRD_PLUS_TWO_COUNTEREXAMPLE
+    g = zf.parse_graph6(line)
+    assert g.n == 14 and zf.is_connected(g) and set(g.degrees) == {3}
+    # Z = 7 apart from the solver: a superset of a forcing set forces, so
+    # no forcing 6-subset means no forcing set of 6 or fewer; and the
+    # solver's witness of 7 forces.
+    assert not any(zf.closure_mask(g, zf.mask_of(sub)) == g.full_mask
+                   for sub in combinations(range(g.n), 6))
+    witness = zf.zero_forcing_number(g).witness
+    assert witness.bit_count() == 7 and zf.closure_mask(g, witness) == g.full_mask
+    code, out, err = run(capsys, "verify", "--g6", line, "--exact-limit", "14")
+    record, summary = (json.loads(text) for text in out.splitlines())
     assert code == 0
+    assert record["z"] == 7 and record["conjecture_flags"] == ["third_plus_two"]
     assert record["conjecture_counterexample"] is True
-    assert f"CONJECTURE COUNTEREXAMPLE: {pet}" in err.splitlines()
+    assert f"CONJECTURE COUNTEREXAMPLE: {line}" in err.splitlines()
     assert summary["conjecture_counterexamples"] == 1
+    # At the default limit of 12 the graph is never solved, so it passes
+    # without a flag.
+    code, out, err = run(capsys, "verify", "--g6", line)
+    record, summary = (json.loads(text) for text in out.splitlines())
+    assert (code, err) == (0, "")
+    assert "z" not in record and "conjecture_counterexample" not in record
+    assert record["conjecture_flags"] == [] and summary["conjecture_counterexamples"] == 0
     # The hunt is no longer a switch: the old flag is a usage error.
-    code, out, err = outcome(capsys, "verify", "--g6", pet, "--hunt-conjecture")
+    code, out, err = outcome(capsys, "verify", "--g6", line, "--hunt-conjecture")
     assert code == 2 and out == "" and "--hunt-conjecture" in err
 
 

@@ -1,5 +1,6 @@
 """graph6 and edge-list codecs."""
 
+import tracemalloc
 from types import SimpleNamespace
 
 import pytest
@@ -10,16 +11,16 @@ from zforce.graph import Graph, bits
 
 
 def reference_graph6(n: int, edges) -> str:
-    """Independent string-of-bits encoder used as the round-trip oracle."""
-    present = {frozenset(e) for e in edges}
-    stream = ""
-    for col in range(1, n):
-        for row in range(col):
-            stream += "1" if frozenset((row, col)) in present else "0"
-    while len(stream) % 6:
-        stream += "0"
+    """Independent encoder used as the round-trip oracle: edge {u, v}
+    with u < v sets bit v(v-1)/2 + u of the column-major upper triangle,
+    and an order above 62 takes the header "~" and three six-bit digits."""
+    stream = bytearray(b"0" * ((n * (n - 1) // 2 + 5) // 6 * 6))
+    for e in edges:
+        u, v = sorted(e)
+        stream[v * (v - 1) // 2 + u] = ord("1")
     chunks = [chr(int(stream[i:i + 6], 2) + 63) for i in range(0, len(stream), 6)]
-    return chr(n + 63) + "".join(chunks)
+    head = chr(n + 63) if n <= 62 else "~" + "".join(chr((n >> s & 63) + 63) for s in (12, 6, 0))
+    return head + "".join(chunks)
 
 
 def reference_parse_graph6(text: str) -> Graph:
@@ -92,6 +93,21 @@ def test_known_codes():
 def test_encoder_agrees_with_reference_on_corpus(random_corpus, named_graphs):
     for g in list(named_graphs.values()) + random_corpus[:100]:
         assert to_graph6(g) == reference_graph6(g.n, g.edges())
+
+
+def test_encoder_streams_in_memory_linear_in_its_output():
+    g = zf.path(4000)
+    tracemalloc.start()
+    try:
+        code = to_graph6(g)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(code)
+    assert code == reference_graph6(g.n, g.edges())
+    for n in (63, 100, 201):
+        g = zf.random_gnp(n, 0.5, n)
+        assert to_graph6(g) == reference_graph6(n, g.edges())
 
 
 def test_roundtrip_on_corpus(random_corpus, named_graphs):

@@ -1,11 +1,12 @@
 """Exact solver against the unpruned oracle and known values."""
 
 import dataclasses
+import random
 
 import pytest
 
 import zforce as zf
-from zforce.graph import mask_of
+from zforce.graph import bit_list, mask_of
 
 
 def test_named_exact_values():
@@ -195,3 +196,34 @@ def test_deterministic_witness(random_corpus):
 
 def test_petersen_value_via_unpruned_oracle():
     assert zf.brute_force_oracle(zf.generate("petersen")).value == 5
+
+
+def test_metamorphic_relations_above_the_oracle_reach():
+    """Checks that hold at any order, run at n = 13..20, past the n <= 12
+    that ``brute_force_oracle`` reaches: deleting an edge or a vertex
+    moves Z by at most one (Edholm, Hogben, Huynh, LaGrange and Row,
+    Linear Algebra Appl. 436, 2012), a relabelling keeps Z, every witness
+    forces, and a witness of G - v plus v forces G."""
+
+    def solved(h):
+        res = zf.zero_forcing_number(h)
+        assert res.complete and zf.closure_mask(h, res.witness) == h.full_mask
+        return res.value, res.witness
+
+    for i in range(40):
+        n = 13 + i % 8
+        g = zf.random_gnp(n, (0.15, 0.2, 0.3, 0.45)[i % 4], 7000 + i)
+        rng = random.Random(i)
+        z, _ = solved(g)
+        perm = rng.sample(range(n), n)
+        assert solved(zf.Graph.from_edges(n, [(perm[u], perm[v]) for u, v in g.edges()]))[0] == z
+        edges = g.edges()
+        for e in rng.sample(edges, min(2, len(edges))):
+            assert abs(solved(zf.Graph.from_edges(n, [f for f in edges if f != e]))[0] - z) <= 1
+        for v in rng.sample(range(n), 2):
+            rest = g.full_mask ^ 1 << v
+            z_v, w_v = solved(g.induced(rest))
+            assert abs(z_v - z) <= 1
+            keep = bit_list(rest)  # vertex i of the induced graph is keep[i]
+            lifted = mask_of(keep[i] for i in bit_list(w_v))
+            assert zf.closure_mask(g, lifted | 1 << v) == g.full_mask

@@ -255,21 +255,21 @@ def test_greedy_extend_matches_the_full_recompute_loop(random_corpus, cubic_tf_c
     assert checked >= 600
 
 
-def test_greedy_ratio_zfs_closes_its_seed_once(cubic_g5_corpus, monkeypatch):
-    real = heuristics.closure_core
+def test_greedy_ratio_zfs_is_find_seed_then_greedy_extend(cubic_g5_corpus, monkeypatch):
+    real_seed, real_extend = find_seed, greedy_extend
+    calls = []
+    monkeypatch.setattr(heuristics, "find_seed", lambda g: calls.append("seed") or real_seed(g))
+    monkeypatch.setattr(heuristics, "greedy_extend",
+                        lambda g, z0: calls.append("extend") or real_extend(g, z0))
     for g in cubic_g5_corpus[:5]:
-        z0 = find_seed(zf.Graph(g.n, g.adj))  # on a copy, which keeps nothing on g
-        starts = []
-
-        def counted(adj, filled, pending):
-            starts.append(filled)
-            return real(adj, filled, pending)
-
-        with monkeypatch.context() as patch:
-            patch.setattr(heuristics, "closure_core", counted)
-            res = greedy_ratio_zfs(g)
-        assert starts.count(z0) == 1
-        assert res.zfs == greedy_extend(zf.Graph(g.n, g.adj), z0).zfs
+        calls.clear()
+        res = greedy_ratio_zfs(g)
+        assert calls == ["seed", "extend"]
+        copy = zf.Graph(g.n, g.adj)
+        assert res.zfs == real_extend(copy, real_seed(copy)).zfs
+    calls.clear()
+    assert greedy_ratio_zfs(zf.complete(4)).exceptional is ExceptionalGraph.COMPLETE
+    assert calls == ["seed"]
 
 
 def test_constructions_keep_nothing_but_invariants_on_the_graph(cubic_g5_corpus):
