@@ -2,7 +2,9 @@
 
 Every entry carries its applicability predicate and a proven/conjectured
 status, so a verifier can treat proven violations as defects and
-conjectured violations as discoveries.  All values are Fractions; the
+conjectured violations as discoveries.  A report holds only the
+entries and what they decided against an exact interval; its JSON reads
+the graph's statistics from the graph.  All values are Fractions; the
 command line renders decimals but no comparison ever goes through a
 float.  The module also holds the exact expected size of the
 random-order zero forcing set, ``expected_size``, the value of the
@@ -70,8 +72,11 @@ def vertex_probability(g: Graph, u: int) -> Fraction:
     union size, so its value is memoised on that signature.  Without
     triangles and 4-cycles the closed neighborhoods of u's neighbors meet
     only in u, the size for I is 1 + the sum of their degrees, and the
-    value is memoised on the sorted neighbor degrees alone.
+    value is memoised on the sorted neighbor degrees alone.  A vertex
+    outside 0..n-1 raises ``ValueError``.
     """
+    if not 0 <= u < g.n:
+        raise ValueError(f"vertex {u} out of range for n={g.n}")
     probability, [key] = _probability_keys(g, [u])
     return probability(key)
 
@@ -148,27 +153,31 @@ def _has_k33_component(g: Graph) -> bool:
 
 @dataclass(frozen=True)
 class BoundReport:
-    n: int
-    max_degree: int
-    min_degree: int
-    girth: int | None
-    connected: bool
-    regular: int | None
+    """The catalog's entries on one graph and what they decided."""
+
     entries: tuple[BoundEntry, ...]
     exact: ExactResult | None
     violations: tuple[str, ...]
     conjecture_flags: tuple[str, ...]
-    info: dict
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, g: Graph) -> dict:
+        """The report with the statistics and informational values of g,
+        the graph it was made for."""
+        gir, r = girth(g), g.is_regular()
+        info: dict = {}
+        if r is not None and r >= 1 and (gir or 5) >= 5:
+            info["regular_first_order"] = {
+                **fraction_json((1 - harmonic(r) / r) * g.n),
+                "note": "(1 - H_r/r) n, informational: one-sided only asymptotically",
+            }
         return {
             "stats": {
-                "n": self.n,
-                "max_degree": self.max_degree,
-                "min_degree": self.min_degree,
-                "girth": "inf" if self.girth is None else self.girth,
-                "connected": self.connected,
-                "regular": self.regular,
+                "n": g.n,
+                "max_degree": g.max_degree(),
+                "min_degree": g.min_degree(),
+                "girth": "inf" if gir is None else gir,
+                "connected": is_connected(g),
+                "regular": r,
             },
             "entries": [e.to_json_dict() for e in self.entries],
             "exact": None if self.exact is None else {
@@ -179,7 +188,7 @@ class BoundReport:
             },
             "violations": list(self.violations),
             "conjecture_flags": list(self.conjecture_flags),
-            "info": self.info,
+            "info": info,
         }
 
 
@@ -193,8 +202,7 @@ def bounds_report(g: Graph, exact: ExactResult | None = None) -> BoundReport:
     of Z: in ``violations`` if proven (an implementation defect by
     construction), in ``conjecture_flags`` if conjectured (a discovery).
     """
-    n, d = g.n, g.max_degree()
-    delta = g.min_degree()
+    n, d, delta = g.n, g.max_degree(), g.min_degree()
     gir = girth(g)
     girth5 = gir is None or gir >= 5
     conn = is_connected(g)
@@ -240,14 +248,6 @@ def bounds_report(g: Graph, exact: ExactResult | None = None) -> BoundReport:
           "" if conn and d == 3 else "needs connected, max degree 3",
           lambda: Fraction(n, 3) + 2)
 
-    info: dict = {}
-    if r is not None and r >= 1 and girth5:
-        first_order = (1 - harmonic(r) / r) * n
-        info["regular_first_order"] = {
-            **fraction_json(first_order),
-            "note": "(1 - H_r/r) n, informational: one-sided only asymptotically",
-        }
-
     violations = []
     flags = []
     if exact is not None:
@@ -256,7 +256,4 @@ def bounds_report(g: Graph, exact: ExactResult | None = None) -> BoundReport:
                 continue
             if e.value < exact.lower if e.kind == "upper" else e.value > exact.upper:
                 (violations if e.status == PROVEN else flags).append(e.name)
-    return BoundReport(
-        n, d, delta, gir, conn, r,
-        tuple(entries), exact, tuple(violations), tuple(flags), info,
-    )
+    return BoundReport(tuple(entries), exact, tuple(violations), tuple(flags))

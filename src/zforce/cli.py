@@ -185,7 +185,7 @@ def _cmd_bounds(args) -> int:
     if args.quiet:
         print(len(report.violations))
     else:
-        _emit(report.to_json_dict())
+        _emit(report.to_json_dict(g))
     return EXIT_VIOLATION if report.violations else EXIT_OK
 
 

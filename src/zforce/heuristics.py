@@ -6,9 +6,9 @@ guarantee:
 * ``greedy_extend`` grows a seed set into a full set of size at most
   (D-2)n/(D-1), never breaking the seed ratio along the way.
 * ``find_seed`` produces such a seed for every connected graph of
-  maximum degree D >= 3 apart from six exceptional graphs, which it
-  recognizes and reports instead.  ``greedy_ratio_zfs`` is the two
-  steps in turn, with a known minimum set on the exceptional graphs.
+  maximum degree D >= 3 apart from six exceptional graphs, where it
+  raises ``ValueError``.  ``greedy_ratio_zfs`` returns a known minimum
+  set on those, which it tags itself, and the two steps on the rest.
 * ``random_zfs`` draws sets from random vertex orders; the exact
   expected size of such a set, an upper bound for the zero forcing
   number, is the bound catalog's ``expected_size``.
@@ -209,23 +209,24 @@ def _seed_candidates(g: Graph, d: int):
         yield from _short_girth_candidates(g, cyc)
 
 
-def find_seed(g: Graph) -> VertexSet | ExceptionalGraph:
-    """A seed set meeting the seed rule, or the exceptional-graph tag.
+def find_seed(g: Graph) -> VertexSet:
+    """A seed set meeting the seed rule.
 
     Returns the first candidate that meets the rule, trying in order:
     each closed neighborhood minus one neighbor, lowest degree first and
     provably futile ones skipped (always enough when some degree is at
     most D-2); then the shortest-cycle construction for girth at least
     5, or a structured family around the shortest cycle for girth 3 and
-    4.  Every non-exceptional connected graph with D >= 3 admits a seed,
-    and a census of every connected graph with n <= 8 finds one among
-    these candidates (the test suite repeats it for n <= 7).  A graph
-    that gets past them raises ``AssertionError``.
+    4.  The six exceptional graphs have no seed and raise ``ValueError``.
+    Every other connected graph with D >= 3 admits a seed, and a census
+    of every connected graph with n <= 8 finds one among these
+    candidates (the test suite repeats it for n <= 7).  A graph that
+    gets past them raises ``AssertionError``.
     """
     d = _ratio_degree(g)
     tag = exceptional_tag(g)
     if tag is not None:
-        return tag
+        raise ValueError(f"the exceptional graph {tag.value} has no seed")
     for z0 in _seed_candidates(g, d):
         if _seed_closure(g, d, z0, z0) is not None:
             return z0
@@ -281,21 +282,21 @@ def _exceptional_witness(g: Graph, tag: ExceptionalGraph) -> VertexSet:
 def greedy_ratio_zfs(g: Graph) -> HeuristicResult:
     """``find_seed`` then ``greedy_extend``; the (D-2)n/(D-1) bound.
 
-    On one of the six exceptional graphs the bound is unattainable, so
-    the known minimum witness for that family is returned instead, with
-    the tag recorded on the result.
+    On the six exceptional graphs, tagged here, the bound is unattainable
+    and ``find_seed`` raises, so the known minimum witness for that
+    family is returned instead, with the tag recorded on the result.
     """
-    seed = find_seed(g)
-    if not isinstance(seed, ExceptionalGraph):
-        return greedy_extend(g, seed)
-    witness = _exceptional_witness(g, seed)
+    tag = exceptional_tag(g)
+    if tag is None:
+        return greedy_extend(g, find_seed(g))
+    witness = _exceptional_witness(g, tag)
     if not is_zero_forcing_set(g, witness):
-        raise AssertionError(f"bad exceptional witness for {seed}")
+        raise AssertionError(f"bad exceptional witness for {tag}")
     return HeuristicResult(
         zfs=witness,
         method="exceptional",
         bound_claim=Fraction(witness.bit_count()),
-        exceptional=seed,
+        exceptional=tag,
     )
 
 

@@ -1,5 +1,6 @@
 """Bound formulas, vertex classification, and the report."""
 
+import dataclasses
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -215,6 +216,15 @@ def test_petersen_vertices_all_type_one():
         assert t.index == 1 and t.probability == Fraction(81, 140)
 
 
+@pytest.mark.parametrize("name", ["petersen", "K4"])  # girth >= 5 key, union-size key
+@pytest.mark.parametrize("outside", ["-1", "n"])
+def test_vertex_probability_rejects_a_vertex_out_of_range(name, outside):
+    g = zf.petersen() if name == "petersen" else zf.complete(4)
+    u = -1 if outside == "-1" else g.n
+    with pytest.raises(ValueError, match=rf"^vertex {u} out of range for n={g.n}$"):
+        zf.vertex_probability(g, u)
+
+
 def type_counts(g):
     """How many vertices of each type 1..7 the graph has, vertex by vertex."""
     counts = {i: 0 for i in TYPE_PROBABILITIES}
@@ -374,14 +384,22 @@ def test_report_takes_an_interval_and_no_solver_options():
 
 def test_report_json_shape():
     c5 = zf.cycle(5)
-    payload = bounds_report(c5, zf.zero_forcing_number(c5)).to_json_dict()
+    payload = bounds_report(c5, zf.zero_forcing_number(c5)).to_json_dict(c5)
     assert payload["stats"]["girth"] == 5
     assert payload["exact"]["value"] == 2
     names = {e["name"] for e in payload["entries"]}
     assert {"degree_ratio", "degree_refined", "exception_free",
             "regular_girth5", "girth_degree", "third_plus_two"} <= names
-    forest = bounds_report(zf.path(3)).to_json_dict()
+    p3 = zf.path(3)
+    forest = bounds_report(p3).to_json_dict(p3)
     assert forest["stats"]["girth"] == "inf"
+
+
+def test_report_keeps_only_what_it_decides():
+    # The graph's statistics are read from the graph when the report is
+    # rendered, not copied onto the report.
+    assert [f.name for f in dataclasses.fields(zf.BoundReport)] == [
+        "entries", "exact", "violations", "conjecture_flags"]
 
 
 def test_report_identity_regular_equals_expectation(cubic_g5_corpus):
@@ -405,6 +423,6 @@ def test_report_json_is_byte_identical_on_the_fixed_batch():
         except ValueError:
             continue
         exact = zf.zero_forcing_number(g) if g.n <= 12 else None
-        lines.append(json.dumps(bounds_report(g, exact).to_json_dict()) + "\n")
+        lines.append(json.dumps(bounds_report(g, exact).to_json_dict(g)) + "\n")
     assert len(lines) == 104
     assert "".join(lines) == (data / "bounds_batch.jsonl").read_text()

@@ -160,6 +160,23 @@ def test_closed_output_pipe_exits_quietly():
     assert proc.stderr == b"" and proc.returncode == 0
 
 
+def test_reader_closing_the_pipe_mid_stream_exits_quietly(tmp_path):
+    # `zforce verify ... | head -n 1`: the reader goes away after one line,
+    # while verify still has most of its 3,000 records to write.
+    source = tmp_path / "petersen.g6"
+    source.write_text((zf.to_graph6(zf.petersen()) + "\n") * 3000)
+    src = str(Path(zf.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    with subprocess.Popen([sys.executable, "-m", "zforce.cli", "verify", str(source)],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert first.startswith(b'{"line": 1, ')
+    assert code == 0 and err == b""
+
+
 def test_heuristic_methods(capsys):
     pet = zf.to_graph6(zf.generate("petersen"))
     for method, options in (("greedy", ()), ("subcubic", ()),

@@ -1,5 +1,6 @@
 """graph6 and edge-list codecs."""
 
+import random
 import tracemalloc
 from types import SimpleNamespace
 
@@ -108,6 +109,31 @@ def test_encoder_streams_in_memory_linear_in_its_output():
     for n in (63, 100, 201):
         g = zf.random_gnp(n, 0.5, n)
         assert to_graph6(g) == reference_graph6(n, g.edges())
+
+
+def test_decoder_holds_memory_linear_in_its_input():
+    # The body is decoded in blocks; path(4000) spans 326 of them.
+    g = zf.path(4000)
+    code = to_graph6(g)
+    tracemalloc.start()
+    try:
+        decoded = parse_graph6(code)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * len(code)
+    assert decoded == g
+    rng = random.Random(32)
+    for seed in range(300):
+        code = to_graph6(zf.random_gnp(rng.randint(1, 200), rng.random(), seed))
+        assert parse_graph6(code) == reference_parse_graph6(code), code
+    # Columns that straddle blocks, and padding checked after the last block.
+    code = to_graph6(zf.random_gnp(401, 0.5, 401))
+    assert parse_graph6(code) == reference_parse_graph6(code)
+    padded = code[:-1] + chr(ord(code[-1]) + 1)
+    with pytest.raises(Graph6Error, match="^nonzero padding bits") as exc:
+        parse_graph6(padded)
+    assert exc.value.offset == len(code) - 1
 
 
 def test_roundtrip_on_corpus(random_corpus, named_graphs):

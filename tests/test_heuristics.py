@@ -65,7 +65,6 @@ def test_low_degree_seed_always_works(random_corpus):
 def test_find_seed_petersen_uses_cycle_construction():
     g = zf.generate("petersen")
     z0 = find_seed(g)
-    assert not isinstance(z0, ExceptionalGraph)
     assert meets_seed_rule(g, z0)
     # single closed neighborhoods can never satisfy the ratio on a cubic
     # girth-5 graph, so the seed must span a shortest cycle
@@ -113,12 +112,12 @@ def test_skipping_futile_seeds_changes_no_seed(random_corpus, cubic_tf_corpus, c
 
 
 def test_find_seed_tags_exceptions():
-    assert find_seed(zf.complete(4)) is ExceptionalGraph.COMPLETE
-    assert find_seed(zf.complete_bipartite(3, 3)) is ExceptionalGraph.BALANCED_BIPARTITE
-    assert find_seed(zf.complete_bipartite(2, 3)) is ExceptionalGraph.OFFSET_BIPARTITE
-    assert find_seed(zf.g1()) is ExceptionalGraph.SPORADIC_5
-    assert find_seed(zf.g2()) is ExceptionalGraph.SPORADIC_7
-    assert find_seed(zf.subdivided_k33()) is ExceptionalGraph.SUBDIVIDED_K33
+    # The message names the tag; greedy_ratio_zfs handles these graphs itself.
+    for g, name in ((zf.complete(4), "complete"), (zf.complete_bipartite(3, 3), "balanced_bipartite"),
+                    (zf.complete_bipartite(2, 3), "offset_bipartite"), (zf.g1(), "g1"),
+                    (zf.g2(), "g2"), (zf.subdivided_k33(), "subdivided_k33")):
+        with pytest.raises(ValueError, match=f"^the exceptional graph {name} has no seed$"):
+            find_seed(g)
 
 
 def test_ratio_construction_rejects_graphs_outside_its_hypothesis():
@@ -135,8 +134,7 @@ def test_find_seed_valid_on_corpus_without_full_fallback(random_corpus):
     for g in random_corpus:
         if zf.exceptional_tag(g) is not None:
             continue
-        z0 = find_seed(g)
-        assert not isinstance(z0, ExceptionalGraph) and meets_seed_rule(g, z0)
+        assert meets_seed_rule(g, find_seed(g))
 
 
 def test_find_seed_fails_loudly_past_its_structured_phases(monkeypatch):
@@ -269,7 +267,7 @@ def test_greedy_ratio_zfs_is_find_seed_then_greedy_extend(cubic_g5_corpus, monke
         assert res.zfs == real_extend(copy, real_seed(copy)).zfs
     calls.clear()
     assert greedy_ratio_zfs(zf.complete(4)).exceptional is ExceptionalGraph.COMPLETE
-    assert calls == ["seed"]
+    assert calls == []
 
 
 def test_constructions_keep_nothing_but_invariants_on_the_graph(cubic_g5_corpus):
