@@ -17,9 +17,10 @@ independent, as the check on this solver.
 
 Each component is searched in place, on the graph's own bitmasks.  A
 budget stop gives the same result shape: its lower end is the least
-frontier cost (or the static girth-degree bound, if larger), and its
-witness the set recorded for the full set if it was pushed, else the
-component minus one vertex; the upper end is that set's size.
+frontier cost or, if larger, the component's static bound (the proven
+girth-degree bound where it applies, else Z >= delta), and its witness
+the set recorded for the full set if it was pushed, else the component
+minus one vertex; the upper end is that set's size.
 
 Two savings cut the work; the witness is still a minimum set.
 Dominance: while S is expanded, a step whose U lies inside the closure T

@@ -49,7 +49,6 @@ class HeuristicResult:
     zfs: VertexSet
     method: str
     bound_claim: Fraction
-    exceptional: ExceptionalGraph | None = None
 
     @property
     def size(self) -> int:
@@ -57,13 +56,14 @@ class HeuristicResult:
 
     def to_json_dict(self, g: Graph) -> dict:
         """The forcing certificate of ``zfs`` on g, the graph it was built
-        for, with the method, size and claim."""
+        for, with the method, size and claim, and g's exceptional tag for
+        the "exceptional" method."""
         out = closure(g, self.zfs).to_json_dict()
         out["method"] = self.method
         out["size"] = self.size
         out["bound_claim"] = fraction_json(self.bound_claim)
-        if self.exceptional is not None:
-            out["exceptional"] = self.exceptional.value
+        if self.method == "exceptional":
+            out["exceptional"] = exceptional_tag(g).value
         return out
 
 
@@ -284,7 +284,8 @@ def greedy_ratio_zfs(g: Graph) -> HeuristicResult:
 
     On the six exceptional graphs, tagged here, the bound is unattainable
     and ``find_seed`` raises, so the known minimum witness for that
-    family is returned instead, with the tag recorded on the result.
+    family is returned instead, with method "exceptional"; its JSON names
+    the tag.
     """
     tag = exceptional_tag(g)
     if tag is None:
@@ -296,7 +297,6 @@ def greedy_ratio_zfs(g: Graph) -> HeuristicResult:
         zfs=witness,
         method="exceptional",
         bound_claim=Fraction(witness.bit_count()),
-        exceptional=tag,
     )
 
 

@@ -95,7 +95,7 @@ def test_exact_budget_exits_4_only_while_the_interval_is_open(capsys):
     payload = json.loads(out)
     assert code == 4 and (payload["lower"], payload["upper"]) == (5, 9)
     assert len(payload["witness"]) == 9
-    code, out, _ = run(capsys, "bounds", "--g6", petersen, "--exact", "--budget", "10", "--quiet")
+    code, out, _ = run(capsys, "bounds", "--g6", petersen, "--budget", "10", "--quiet")
     assert code == 0 and out.strip() == "0"
 
 
@@ -107,7 +107,6 @@ def test_exact_budget_zero_runs_no_closure(capsys):
 
 def test_negative_budget_is_usage_error(capsys):
     for argv in (["exact", "--g6", "Bg", "--budget", "-1"],
-                 ["bounds", "--g6", "Bg", "--exact", "--budget", "-1"],
                  ["bounds", "--g6", "Bg", "--budget", "-1", "--quiet"]):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -115,19 +114,22 @@ def test_negative_budget_is_usage_error(capsys):
         assert "budget must be >= 0" in capsys.readouterr().err
 
 
-def test_bounds_budget_needs_exact(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["bounds", "--g6", "Bg", "--budget", "3", "--quiet"])
-    assert exc.value.code == 2
-    assert "needs --exact" in capsys.readouterr().err
+def test_bounds_solves_only_under_a_budget(capsys):
+    # A budget asks for the exact check; without one the report holds the
+    # catalog alone.  The solver stays uncapped only in `zforce exact`.
     petersen = zf.to_graph6(zf.generate("petersen"))
-    code, out, _ = run(capsys, "bounds", "--g6", petersen, "--exact", "--budget", "3")
+    code, out, _ = run(capsys, "bounds", "--g6", petersen, "--budget", "3")
     exact = json.loads(out)["exact"]
     assert code == 0 and not exact["complete"] and exact["lower"] <= 5 <= exact["upper"]
+    code, out, _ = run(capsys, "bounds", "--g6", petersen, "--budget", "100000")
+    exact = json.loads(out)["exact"]
+    assert code == 0 and exact["complete"] and exact["value"] == 5
+    code, out, _ = run(capsys, "bounds", "--g6", petersen)
+    assert code == 0 and json.loads(out)["exact"] is None
 
 
 def test_usage_error_shows_the_subcommand_usage(capsys):
-    for argv, usage in ((["bounds", "--g6", "Bg", "--budget", "3"], "usage: zforce bounds"),
+    for argv, usage in ((["bounds", "--g6", "Bg", "--exact"], "usage: zforce bounds"),
                         (["closure", "--g6", "Bg", "--set", "9"], "usage: zforce closure")):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -152,7 +154,7 @@ def test_closed_output_pipe_exits_quietly():
     env = {**os.environ, "PYTHONPATH": src}
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "zforce.cli", "bounds", "--g6", "Bg", "--exact"],
+            [sys.executable, "-m", "zforce.cli", "bounds", "--g6", "Bg", "--budget", "100000"],
             stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
         )
     finally:
@@ -212,7 +214,7 @@ def test_heuristic_random_options_need_method_random(capsys):
 
 
 def test_bounds_json(capsys):
-    code, out, _ = run(capsys, "bounds", "--g6", "C~", "--exact")
+    code, out, _ = run(capsys, "bounds", "--g6", "C~", "--budget", "100000")
     payload = json.loads(out)
     assert code == 0
     assert payload["exact"]["value"] == 3
@@ -300,6 +302,28 @@ def test_hunt_reports_a_flagged_graph(capsys):
     assert code == 2 and out == "" and "--hunt-conjecture" in err
 
 
+def test_hunt_reports_every_conjectured_entry(capsys, monkeypatch):
+    # girth_degree is conjectured outside girths 3-6, but a flag there needs
+    # minimum degree >= 3 at girth >= 7, so n >= 22 by the Moore bound:
+    # plant one where the verify command imports the catalog from.
+    from zforce import bounds
+
+    real = bounds.bounds_report
+
+    def flagged(g, **kwargs):
+        return dataclasses.replace(real(g, **kwargs), conjecture_flags=("girth_degree",))
+
+    monkeypatch.setattr(bounds, "bounds_report", flagged)
+    pet = zf.to_graph6(zf.generate("petersen"))
+    code, out, err = run(capsys, "verify", "--g6", pet)
+    record, summary = (json.loads(line) for line in out.splitlines())
+    assert code == 0
+    assert record["conjecture_flags"] == ["girth_degree"]
+    assert record["conjecture_counterexample"] is True
+    assert err.splitlines() == [f"CONJECTURE COUNTEREXAMPLE: {pet}"]
+    assert summary["conjecture_counterexamples"] == 1
+
+
 def test_a_proven_violation_exits_5(capsys, monkeypatch):
     # No graph breaks a proven bound, so plant one where the verify and
     # bounds commands import the catalog from.
@@ -321,9 +345,9 @@ def test_a_proven_violation_exits_5(capsys, monkeypatch):
     rows = [json.loads(line) for line in out.splitlines()]
     assert code == 5 and "error" in rows[1]
     assert rows[-1]["violations"] == 1 and rows[-1]["parse_errors"] == 1
-    code, out, _ = run(capsys, "bounds", "--g6", pet, "--exact")
+    code, out, _ = run(capsys, "bounds", "--g6", pet, "--budget", "100000")
     assert code == 5 and json.loads(out)["violations"] == ["degree_ratio"]
-    code, out, _ = run(capsys, "bounds", "--g6", pet, "--exact", "--quiet")
+    code, out, _ = run(capsys, "bounds", "--g6", pet, "--budget", "100000", "--quiet")
     assert code == 5 and out == "1\n"
 
 

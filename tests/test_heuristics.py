@@ -14,7 +14,7 @@ import zforce as zf
 from test_bounds import subcubic_size_ok
 from test_forcing import with_isolated_vertex
 from zforce import forcing, heuristics
-from zforce.families import ExceptionalGraph, _shuffle, _stream_seed
+from zforce.families import _shuffle, _stream_seed
 from zforce.graph import bit_list, bits, mask_of, shortest_cycle
 from zforce.heuristics import (
     ExtensionSubgraph,
@@ -187,7 +187,7 @@ def test_greedy_ratio_zfs_on_exceptions_returns_minimum(named_graphs):
                        ("subdivided_k33", 4), ("K5", 4), ("K44", 6), ("K34", 5)]:
         g = named_graphs[name]
         res = greedy_ratio_zfs(g)
-        assert res.method == "exceptional" and res.exceptional is not None
+        assert res.method == "exceptional" and zf.exceptional_tag(g) is not None
         assert res.size == want, name
         assert zf.is_zero_forcing_set(g, res.zfs)
 
@@ -266,7 +266,7 @@ def test_greedy_ratio_zfs_is_find_seed_then_greedy_extend(cubic_g5_corpus, monke
         copy = zf.Graph(g.n, g.adj)
         assert res.zfs == real_extend(copy, real_seed(copy)).zfs
     calls.clear()
-    assert greedy_ratio_zfs(zf.complete(4)).exceptional is ExceptionalGraph.COMPLETE
+    assert greedy_ratio_zfs(zf.complete(4)).method == "exceptional"
     assert calls == []
 
 
@@ -783,7 +783,7 @@ def test_constructions_run_the_traced_closure_only_when_read(monkeypatch, named_
     assert calls == [res.zfs for _, res in built]
     # A result holds its set and its claim, not the graph.
     assert [f.name for f in dataclasses.fields(heuristics.HeuristicResult)] == [
-        "zfs", "method", "bound_claim", "exceptional"]
+        "zfs", "method", "bound_claim"]
 
 
 # -- outputs on a fixed batch ------------------------------------------------
