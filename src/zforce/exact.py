@@ -22,7 +22,7 @@ girth-degree bound where it applies, else Z >= delta), and its witness
 the set recorded for the full set if it was pushed, else the component
 minus one vertex; the upper end is that set's size.
 
-Two savings cut the work; the witness is still a minimum set.
+Three savings cut the work; the witness is still a minimum set.
 Dominance: while S is expanded, a step whose U lies inside the closure T
 of a step already run from S, at a cost no higher than its own, is
 skipped before its closure runs.  Closure is monotone, so the skipped
@@ -30,8 +30,14 @@ step reaches a subset of T; and from a superset the same vertex costs no
 more and reaches a superset, so finishing from T is never dearer.
 Restart: each closed set keeps the stalled set ``closure_core`` returned
 for it (its vertices that still have unfilled neighbours), and a step
-recloses from stalled | U instead of S | U.  ``nodes_explored``
-counts the closures that ran: a skipped step is neither counted nor
+recloses from stalled | U instead of S | U.  Reuse: each solve keeps
+every step's input S | U, and every closure returned, with that closure
+and its stalled set, and a step whose input is already kept takes them
+and runs no closure.  A closure depends only on its input, and the
+stalled set is always the closure's vertices with two or more unfilled
+neighbours, so the search goes as it would without reuse; the memory is
+at most two entries per closure run.  ``nodes_explored`` counts the
+closures that ran: a skipped or reused step is neither counted nor
 charged to the budget.
 """
 
@@ -93,7 +99,9 @@ def _solve_component(g: Graph, comp: VertexSet, limit: int | None) -> tuple[int,
     set.  Steps cost at least 1, so an expanded set's record is final.
     """
     adj, verts = g.adj, bit_list(comp)
+    nbhd = [(v, adj[v] | 1 << v) for v in verts]  # closed neighbourhoods
     records = {0: (0, 0, 0)}  # closed set -> (cost, forcing set reaching it, stalled set)
+    closed = {}  # input closed in this solve, or closure returned -> (closure, stalled set)
     heap = [(0, 0, 0)]  # (cost, insertion order, closed set)
     pushed = 1
     used = 0
@@ -105,8 +113,9 @@ def _solve_component(g: Graph, comp: VertexSet, limit: int | None) -> tuple[int,
         if s == comp:
             return cost, zfs, used
         reached = []  # (closure, cost) of each step run from s
-        for v in verts:
-            u = (adj[v] | 1 << v) & ~s
+        outside = ~s
+        for v, nv in nbhd:
+            u = nv & outside
             if not u:
                 continue
             nbrs = adj[v] & u
@@ -115,16 +124,22 @@ def _solve_component(g: Graph, comp: VertexSet, limit: int | None) -> tuple[int,
                 if not u & ~t and t_cost <= new_cost:
                     break  # dominated: that step reached a superset, no dearer
             else:
-                if used == limit:
-                    # Steps cost at least 1, so nothing unsettled costs less.
-                    lower = min(heap[0][0], cost + 1) if heap else cost + 1
-                    lower = max(lower, _component_lower_bound(g.induced(comp)))
-                    # Else all but the highest vertex (a neighbour forces it),
-                    # or the whole of a single-vertex component.
-                    return lower, (records[comp][1] if comp in records
-                                   else comp ^ 1 << verts[-1] or comp), used
-                used += 1
-                t, t_stalled = closure_core(adj, s | u, stalled | u)
+                start = s | u
+                hit = closed.get(start)
+                if hit is None:
+                    if used == limit:
+                        # Steps cost at least 1, so nothing unsettled costs less.
+                        lower = min(heap[0][0], cost + 1) if heap else cost + 1
+                        lower = max(lower, _component_lower_bound(
+                            g if comp == g.full_mask else g.induced(comp)))
+                        # Else all but the highest vertex (a neighbour forces it),
+                        # or the whole of a single-vertex component.
+                        return lower, (records[comp][1] if comp in records
+                                       else comp ^ 1 << verts[-1] or comp), used
+                    used += 1
+                    hit = closed[start] = closure_core(adj, start, stalled | u)
+                    closed[hit[0]] = hit  # a closed set is its own closure
+                t, t_stalled = hit
                 reached.append((t, new_cost))
                 if t not in records or new_cost < records[t][0]:
                     records[t] = (new_cost, zfs | u ^ (nbrs & -nbrs), t_stalled)

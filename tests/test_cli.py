@@ -179,6 +179,22 @@ def test_reader_closing_the_pipe_mid_stream_exits_quietly(tmp_path):
     assert code == 0 and err == b""
 
 
+def test_python_dash_m_zforce_runs_the_command_line():
+    # `python -m zforce` is the `zforce` command under a name that gzip's
+    # own `zforce` script cannot shadow.
+    src = str(Path(zf.__file__).resolve().parent.parent)
+    data = Path(__file__).resolve().parent / "data"
+    env = {**os.environ, "PYTHONPATH": src}
+    gen = subprocess.run([sys.executable, "-m", "zforce", "gen", "petersen"],
+                         capture_output=True, text=True, env=env, timeout=60)
+    assert (gen.returncode, gen.stdout) == (0, "I?LRCecq?\n")
+    batch = str(data / "verify_batch.g6")
+    verify = subprocess.run([sys.executable, "-m", "zforce", "verify", batch],
+                            capture_output=True, env=env, timeout=120)
+    assert verify.returncode == 2  # the two malformed lines
+    assert verify.stdout == (data / "verify_batch.jsonl").read_bytes()
+
+
 def test_heuristic_methods(capsys):
     pet = zf.to_graph6(zf.generate("petersen"))
     for method, options in (("greedy", ()), ("subcubic", ()),

@@ -6,6 +6,7 @@ import random
 import pytest
 
 import zforce as zf
+from zforce.exact import _component_lower_bound
 from zforce.graph import bit_list, mask_of
 
 
@@ -66,8 +67,10 @@ def test_disconnected_graphs_decompose():
 
 
 def test_connected_graph_is_solved_without_relabelling(random_corpus, monkeypatch):
-    # Every component is solved in place, and a full solve never builds an
-    # induced copy; with an isolated vertex added the witness gains it.
+    # Every component is solved in place, and neither a full solve nor a
+    # budget stop (whose static bound reads the graph's cached girth)
+    # builds an induced copy; with an isolated vertex added the witness
+    # gains it.
     plain = [(g, zf.zero_forcing_number(g).witness) for g in random_corpus[:40]]
 
     def no_copy(self, mask):
@@ -79,6 +82,8 @@ def test_connected_graph_is_solved_without_relabelling(random_corpus, monkeypatc
             assert zf.zero_forcing_number(g).witness == witness
             padded = zf.Graph(g.n + 1, g.adj + (0,))
             assert zf.zero_forcing_number(padded).witness == witness | 1 << g.n
+        stop = zf.zero_forcing_number(zf.generate("petersen"), 3)
+        assert (stop.lower, stop.upper, stop.nodes_explored) == (5, 9, 3)
 
 
 def test_edgeless_needs_everything():
@@ -121,11 +126,37 @@ def test_upper_end_and_completeness_derive_from_the_stored_fields():
 
 
 def test_lower_bound_seed_counts():
-    # the wavefront settles Petersen after 65 closures; more would mean
-    # that dominated steps are run again
+    # the wavefront settles Petersen after 46 closures; more would mean a
+    # dominated step or an already-closed set is closed again
     res = zf.zero_forcing_number(zf.generate("petersen"))
     assert res.value == 5
-    assert res.nodes_explored == 65
+    assert res.nodes_explored == 46
+
+
+def test_each_set_is_closed_at_most_once_per_solve(random_corpus, monkeypatch):
+    # Within one solve every closure input and every closure returned is
+    # kept: a step whose input is one of them reuses the stored closure, so
+    # no input is closed twice, no closed set is closed again, and
+    # nodes_explored counts exactly the closures that ran.
+    calls = []
+    real = zf.exact.closure_core
+
+    def recording(adj, filled, pending):
+        closed, stalled = real(adj, filled, pending)
+        calls.append((filled, closed))
+        return closed, stalled
+
+    monkeypatch.setattr(zf.exact, "closure_core", recording)
+    for g in [zf.generate("petersen"), zf.heawood()] + random_corpus[::25]:
+        calls.clear()
+        res = zf.zero_forcing_number(g)
+        assert res.nodes_explored == len(calls)
+        inputs = [filled for filled, _ in calls]
+        assert len(set(inputs)) == len(inputs)
+        returned = set()
+        for filled, closed in calls:
+            assert filled not in returned
+            returned.add(closed)
 
 
 def _disjoint_union(*graphs):
@@ -161,12 +192,14 @@ def test_negative_budget_rejected():
 
 
 def test_budget_stop_reports_the_frontier_cost():
-    # K1,4 is a tree, so the static bound is delta = 1; a lower end of
-    # 3 = Z one closure short of the end comes from the search frontier,
-    # and the full set already pushed closes the interval
-    g = zf.complete_bipartite(1, 4)
+    # K1,4 with its centre last is a tree, so the static bound is
+    # delta = 1; a lower end of 3 = Z one closure short of the end comes
+    # from the search frontier, and the full set already pushed closes the
+    # interval
+    g = zf.complete_bipartite(4, 1)
+    assert _component_lower_bound(g) == 1
     full = zf.zero_forcing_number(g).nodes_explored
-    assert full == 27
+    assert full == 14
     res = zf.zero_forcing_number(g, full - 1)
     assert res.complete and res.lower == res.upper == res.value == 3
     assert_sound(g, res, 3)
