@@ -18,8 +18,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-from .exact import ExactResult
 from .families import ExceptionalGraph, exceptional_tag
 from .graph import Graph, girth, is_connected
 from .ratmath import (
@@ -30,6 +30,9 @@ from .ratmath import (
     lower_girth_degree,
     subcubic_girth5_value,
 )
+
+if TYPE_CHECKING:  # the catalog runs no solve; the callers that do import it
+    from .exact import ExactResult
 
 PROVEN = "proven"
 CONJECTURED = "conjectured"

@@ -30,15 +30,15 @@ step reaches a subset of T; and from a superset the same vertex costs no
 more and reaches a superset, so finishing from T is never dearer.
 Restart: each closed set keeps the stalled set ``closure_core`` returned
 for it (its vertices that still have unfilled neighbours), and a step
-recloses from stalled | U instead of S | U.  Reuse: each solve keeps
-every step's input S | U, and every closure returned, with that closure
-and its stalled set, and a step whose input is already kept takes them
-and runs no closure.  A closure depends only on its input, and the
-stalled set is always the closure's vertices with two or more unfilled
-neighbours, so the search goes as it would without reuse; the memory is
-at most two entries per closure run.  ``nodes_explored`` counts the
-closures that ran: a skipped or reused step is neither counted nor
-charged to the budget.
+recloses from stalled | U instead of S | U.  Reuse: each solve maps
+every step input S | U that ran a closure to that closure, one int per
+closure that ran; closed sets are found in the records.  A step whose
+input is mapped, or is itself closed, reads the closure's stalled set
+from its record and runs no closure.  A closure depends only on its
+input, and the stalled set is always the closure's vertices with two or
+more unfilled neighbours, so the search goes as it would without
+reuse.  ``nodes_explored`` counts the closures that ran: a skipped or
+reused step is neither counted nor charged to the budget.
 """
 
 from __future__ import annotations
@@ -101,7 +101,7 @@ def _solve_component(g: Graph, comp: VertexSet, limit: int | None) -> tuple[int,
     adj, verts = g.adj, bit_list(comp)
     nbhd = [(v, adj[v] | 1 << v) for v in verts]  # closed neighbourhoods
     records = {0: (0, 0, 0)}  # closed set -> (cost, forcing set reaching it, stalled set)
-    closed = {}  # input closed in this solve, or closure returned -> (closure, stalled set)
+    closed = {}  # input a closure ran on in this solve -> its closure
     heap = [(0, 0, 0)]  # (cost, insertion order, closed set)
     pushed = 1
     used = 0
@@ -125,8 +125,8 @@ def _solve_component(g: Graph, comp: VertexSet, limit: int | None) -> tuple[int,
                     break  # dominated: that step reached a superset, no dearer
             else:
                 start = s | u
-                hit = closed.get(start)
-                if hit is None:
+                t = start if start in records else closed.get(start)
+                if t is None:
                     if used == limit:
                         # Steps cost at least 1, so nothing unsettled costs less.
                         lower = min(heap[0][0], cost + 1) if heap else cost + 1
@@ -137,9 +137,10 @@ def _solve_component(g: Graph, comp: VertexSet, limit: int | None) -> tuple[int,
                         return lower, (records[comp][1] if comp in records
                                        else comp ^ 1 << verts[-1] or comp), used
                     used += 1
-                    hit = closed[start] = closure_core(adj, start, stalled | u)
-                    closed[hit[0]] = hit  # a closed set is its own closure
-                t, t_stalled = hit
+                    t, t_stalled = closure_core(adj, start, stalled | u)
+                    closed[start] = t
+                else:
+                    t_stalled = records[t][2]
                 reached.append((t, new_cost))
                 if t not in records or new_cost < records[t][0]:
                     records[t] = (new_cost, zfs | u ^ (nbrs & -nbrs), t_stalled)

@@ -27,6 +27,9 @@ def fraction_json(f: Fraction) -> dict:
 #: The girths at which ``lower_girth_degree`` is a proven lower bound.
 GIRTH_DEGREE_PROVEN = frozenset({3, 4, 5, 6})
 
+#: Fractional bits of ``log2_overestimate``: 2**-40 is about 9.1e-13.
+LOG2_FRAC_BITS = 40
+
 
 def lower_girth_degree(gir: int, delta: int) -> Fraction:
     """(girth-2)*(delta-2) + 2; proven for the girths in
@@ -50,14 +53,14 @@ def girth5_regular_factor(r: int) -> Fraction:
     return out
 
 
-def log2_overestimate(n: int, frac_bits: int = 40) -> Fraction:
+def log2_overestimate(n: int) -> Fraction:
     """Dyadic rational L with log2(n) <= L < log2(n) + 1e-9.
 
     Classic square-and-extract bit recurrence on a 256-bit integer
-    mantissa.  Every rounding step rounds up and one final ulp is added,
-    so the result never falls below log2(n); the total overshoot is under
-    2**-frac_bits plus accumulated mantissa error, far below 1e-9 at the
-    default precision.  Exact for powers of two.
+    mantissa, to ``LOG2_FRAC_BITS`` fractional bits.  Every rounding step
+    rounds up and one final ulp is added, so the result never falls below
+    log2(n); the total overshoot is under 2**-LOG2_FRAC_BITS plus
+    accumulated mantissa error, far below 1e-9.  Exact for powers of two.
     """
     if n < 1:
         raise ValueError("log2 needs n >= 1")
@@ -68,7 +71,7 @@ def log2_overestimate(n: int, frac_bits: int = 40) -> Fraction:
     big = 1 << scale
     m = -(-(n << scale) >> ip)  # ceil(n * 2^scale / 2^ip), in (big, 2*big)
     acc = 0
-    for _ in range(frac_bits):
+    for _ in range(LOG2_FRAC_BITS):
         m *= m
         if m >= 2 * big * big:
             acc = acc << 1 | 1
@@ -76,7 +79,7 @@ def log2_overestimate(n: int, frac_bits: int = 40) -> Fraction:
         else:
             acc <<= 1
             m = -(-m >> scale)
-    return ip + Fraction(acc + 1, 1 << frac_bits)
+    return ip + Fraction(acc + 1, 1 << LOG2_FRAC_BITS)
 
 
 def subcubic_girth5_value(n: int) -> Fraction:

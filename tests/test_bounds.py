@@ -139,10 +139,12 @@ def test_log2_overestimate_certified():
         assert log2_overestimate(1 << k) == k
 
 
-def test_log2_overestimate_exact_direction_at_low_precision():
+def test_log2_overestimate_exact_direction_at_low_precision(monkeypatch):
     # at 16 fractional bits the certificate is checkable with plain ints
+    monkeypatch.setattr(zf.ratmath, "LOG2_FRAC_BITS", 16)
     for n in (3, 5, 10, 42, 63):
-        lg = log2_overestimate(n, frac_bits=16)
+        lg = log2_overestimate(n)
+        assert (lg * (1 << 16)).denominator == 1  # a 16-bit dyadic
         assert n ** lg.denominator <= 2 ** lg.numerator
 
 

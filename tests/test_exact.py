@@ -134,29 +134,38 @@ def test_lower_bound_seed_counts():
 
 
 def test_each_set_is_closed_at_most_once_per_solve(random_corpus, monkeypatch):
-    # Within one solve every closure input and every closure returned is
-    # kept: a step whose input is one of them reuses the stored closure, so
-    # no input is closed twice, no closed set is closed again, and
-    # nodes_explored counts exactly the closures that ran.
+    # Within one solve the memo keeps only the inputs a closure ran on, and
+    # a closed set is found among the search records: so no input is closed
+    # twice, no closed set is closed again, and nodes_explored counts exactly
+    # the closures that ran.  A reused set reads its stalled set from its
+    # record, which is sound because the stalled set closure_core returns is
+    # always the closure's vertices with two or more unfilled neighbours;
+    # and every restart from a stalled set still reaches the full closure.
     calls = []
     real = zf.exact.closure_core
 
     def recording(adj, filled, pending):
         closed, stalled = real(adj, filled, pending)
-        calls.append((filled, closed))
+        calls.append((adj, filled, closed, stalled))
         return closed, stalled
 
     monkeypatch.setattr(zf.exact, "closure_core", recording)
-    for g in [zf.generate("petersen"), zf.heawood()] + random_corpus[::25]:
+    petersen, heawood = zf.generate("petersen"), zf.heawood()
+    solves = [(g, None) for g in [petersen, heawood] + random_corpus[::5]]
+    solves += [(petersen, 16), (heawood, 39)] + [(g, 5) for g in random_corpus[1::50]]
+    for g, budget in solves:
         calls.clear()
-        res = zf.zero_forcing_number(g)
+        res = zf.zero_forcing_number(g, budget)
         assert res.nodes_explored == len(calls)
-        inputs = [filled for filled, _ in calls]
+        inputs = [filled for _, filled, _, _ in calls]
         assert len(set(inputs)) == len(inputs)
         returned = set()
-        for filled, closed in calls:
+        for adj, filled, closed, stalled in calls:
             assert filled not in returned
             returned.add(closed)
+            assert closed == real(adj, filled, filled)[0]
+            assert stalled == mask_of(v for v in bit_list(closed)
+                                      if (adj[v] & ~closed).bit_count() >= 2)
 
 
 def _disjoint_union(*graphs):

@@ -131,3 +131,6 @@ def test_catalog_commands_load_the_bounds_but_not_the_constructions(command):
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         f"    assert main({argv!r}) == 0\n")
     assert "zforce.bounds" in loaded and "zforce.heuristics" not in loaded
+    # The catalog itself needs no solver: only the commands that solve load it.
+    solver = {"zforce.exact", "zforce.forcing"}
+    assert solver & set(loaded) == (set() if command == "expect" else solver)
