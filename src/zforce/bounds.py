@@ -18,12 +18,12 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import ceil
 from typing import TYPE_CHECKING
 
 from .families import ExceptionalGraph, exceptional_tag
 from .graph import Graph, girth, is_connected
 from .ratmath import (
-    GIRTH_DEGREE_PROVEN,
     fraction_json,
     girth5_regular_factor,
     harmonic,
@@ -36,6 +36,9 @@ if TYPE_CHECKING:  # the catalog runs no solve; the callers that do import it
 
 PROVEN = "proven"
 CONJECTURED = "conjectured"
+
+#: The girths at which ``lower_girth_degree`` is a proven lower bound.
+GIRTH_DEGREE_PROVEN = frozenset({3, 4, 5, 6})
 
 
 @dataclass(frozen=True)
@@ -163,6 +166,13 @@ class BoundReport:
     violations: tuple[str, ...]
     conjecture_flags: tuple[str, ...]
 
+    @property
+    def proven_lower(self) -> int:
+        """The largest applicable proven lower entry, rounded up: a lower
+        end for Z, always there since ``min_degree`` always applies."""
+        return max(ceil(e.value) for e in self.entries
+                   if e.kind == "lower" and e.status == PROVEN and e.applicable)
+
     def to_json_dict(self, g: Graph) -> dict:
         """The report with the statistics and informational values of g,
         the graph it was made for."""
@@ -247,6 +257,8 @@ def bounds_report(g: Graph, exact: ExactResult | None = None) -> BoundReport:
           "(g-2)(delta-2)+2 for finite girth, min degree >= 2",
           "" if gir is not None and delta >= 2 else "needs a cycle and minimum degree >= 2",
           lambda: lower_girth_degree(gir, delta))
+    entry("min_degree", "lower", PROVEN, "max(delta, 1): a first force needs delta filled vertices",
+          "", lambda: Fraction(max(delta, 1)))
     entry("third_plus_two", "upper", CONJECTURED, "n/3 + 2 for connected subcubic graphs",
           "" if conn and d == 3 else "needs connected, max degree 3",
           lambda: Fraction(n, 3) + 2)

@@ -17,10 +17,10 @@ independent, as the check on this solver.
 
 Each component is searched in place, on the graph's own bitmasks.  A
 budget stop gives the same result shape: its lower end is the least
-frontier cost or, if larger, the component's static bound (the proven
-girth-degree bound where it applies, else Z >= delta), and its witness
-the set recorded for the full set if it was pushed, else the component
-minus one vertex; the upper end is that set's size.
+frontier cost or, if larger, the catalog's proven lower end for the
+component (``bounds_report(...).proven_lower``), and its witness the set
+recorded for the full set if it was pushed, else the component minus
+one vertex; the upper end is that set's size.
 
 Three savings cut the work; the witness is still a minimum set.
 Dominance: while S is expanded, a step whose U lies inside the closure T
@@ -48,7 +48,7 @@ from heapq import heappop, heappush
 from itertools import combinations
 
 from .forcing import closure_core
-from .graph import Graph, VertexSet, bit_list, girth, mask_of
+from .graph import Graph, VertexSet, bit_list, mask_of
 
 
 @dataclass(frozen=True)
@@ -73,19 +73,6 @@ class ExactResult:
     @property
     def complete(self) -> bool:
         return self.lower == self.upper
-
-
-def _component_lower_bound(g: Graph) -> int:
-    """The proven girth-degree bound where it applies, else Z >= delta
-    (and >= 1, for an isolated vertex)."""
-    # Imported here: only a budget stop needs it, and with it fractions and
-    # decimal, which an unbudgeted solve then never loads.
-    from .ratmath import GIRTH_DEGREE_PROVEN, lower_girth_degree
-
-    gir, delta = girth(g), g.min_degree()
-    if gir in GIRTH_DEGREE_PROVEN and delta >= 2:
-        return int(lower_girth_degree(gir, delta))
-    return max(delta, 1)
 
 
 def _solve_component(g: Graph, comp: VertexSet, limit: int | None) -> tuple[int, VertexSet, int]:
@@ -128,10 +115,12 @@ def _solve_component(g: Graph, comp: VertexSet, limit: int | None) -> tuple[int,
                 t = start if start in records else closed.get(start)
                 if t is None:
                     if used == limit:
+                        from .bounds import bounds_report  # loaded only by a stop
+
                         # Steps cost at least 1, so nothing unsettled costs less.
                         lower = min(heap[0][0], cost + 1) if heap else cost + 1
-                        lower = max(lower, _component_lower_bound(
-                            g if comp == g.full_mask else g.induced(comp)))
+                        sub = g if comp == g.full_mask else g.induced(comp)
+                        lower = max(lower, bounds_report(sub).proven_lower)
                         # Else all but the highest vertex (a neighbour forces it),
                         # or the whole of a single-vertex component.
                         return lower, (records[comp][1] if comp in records
@@ -164,7 +153,7 @@ def zero_forcing_number(g: Graph, budget: int | None = None) -> ExactResult:
     used = lower = witness = 0
     for comp in g.components:
         # After a stop no budget is left: later components stop at once with
-        # their static bound and all but one vertex as witness.
+        # their proven lower end and all but one vertex as witness.
         sub_lower, sub_witness, ran = _solve_component(
             g, comp, None if budget is None else budget - used)
         used += ran

@@ -24,16 +24,13 @@ def fraction_json(f: Fraction) -> dict:
     return {"num": f.numerator, "den": f.denominator, "decimal": float(f)}
 
 
-#: The girths at which ``lower_girth_degree`` is a proven lower bound.
-GIRTH_DEGREE_PROVEN = frozenset({3, 4, 5, 6})
-
 #: Fractional bits of ``log2_overestimate``: 2**-40 is about 9.1e-13.
 LOG2_FRAC_BITS = 40
 
 
 def lower_girth_degree(gir: int, delta: int) -> Fraction:
     """(girth-2)*(delta-2) + 2; proven for the girths in
-    ``GIRTH_DEGREE_PROVEN``, where at girth 3 it reads delta."""
+    ``bounds.GIRTH_DEGREE_PROVEN``, where at girth 3 it reads delta."""
     if gir < 3:
         raise ValueError("needs finite girth >= 3")
     if delta < 2:

@@ -414,7 +414,7 @@ def test_report_identity_regular_equals_expectation(cubic_g5_corpus):
 def test_report_json_is_byte_identical_on_the_fixed_batch():
     # tests/data/bounds_batch.jsonl: one report per graph of
     # tests/data/verify_batch.g6 that parses, exact value attached up to
-    # n = 12.  The batch reaches every reason string of the nine entries,
+    # n = 12.  The batch reaches every reason string of the ten entries,
     # both girth_degree statuses and the info key; a change to any entry
     # must be stated on purpose.
     data = Path(__file__).resolve().parent / "data"

@@ -85,6 +85,7 @@ def test_census_has_no_proven_violation_and_theorem_1_iff(census):
         report = zf.bounds_report(g, zf.zero_forcing_number(g))
         assert report.exact.complete
         assert report.violations == ()
+        assert report.proven_lower <= report.exact.value
         d, n = g.max_degree(), g.n
         if d >= 3:
             above = Fraction(report.exact.value) > Fraction((d - 2) * n, d - 1)

@@ -6,7 +6,6 @@ import random
 import pytest
 
 import zforce as zf
-from zforce.exact import _component_lower_bound
 from zforce.graph import bit_list, mask_of
 
 
@@ -68,7 +67,7 @@ def test_disconnected_graphs_decompose():
 
 def test_connected_graph_is_solved_without_relabelling(random_corpus, monkeypatch):
     # Every component is solved in place, and neither a full solve nor a
-    # budget stop (whose static bound reads the graph's cached girth)
+    # budget stop (whose catalog report is made on the graph itself)
     # builds an induced copy; with an isolated vertex added the witness
     # gains it.
     plain = [(g, zf.zero_forcing_number(g).witness) for g in random_corpus[:40]]
@@ -206,12 +205,43 @@ def test_budget_stop_reports_the_frontier_cost():
     # from the search frontier, and the full set already pushed closes the
     # interval
     g = zf.complete_bipartite(4, 1)
-    assert _component_lower_bound(g) == 1
+    assert zf.bounds_report(g).proven_lower == 1
     full = zf.zero_forcing_number(g).nodes_explored
     assert full == 14
     res = zf.zero_forcing_number(g, full - 1)
     assert res.complete and res.lower == res.upper == res.value == 3
     assert_sound(g, res, 3)
+
+
+def _static_lower_reference(g):
+    """The budget stop's own rule before it read the catalog: the
+    girth-degree bound at girth 3 to 6 with minimum degree >= 2, else
+    Z >= max(delta, 1)."""
+    gir, delta = zf.girth(g), g.min_degree()
+    if gir in (3, 4, 5, 6) and delta >= 2:
+        return (gir - 2) * (delta - 2) + 2
+    return max(delta, 1)
+
+
+def test_proven_lower_is_the_old_static_rule(random_corpus, cubic_tf_corpus, cubic_g5_corpus,
+                                             named_graphs):
+    # A budget stop takes the catalog's proven lower end, so no interval moves
+    # as long as that end is the rule the stop used before.  The named graphs
+    # hold the six exceptional graphs, Petersen and Heawood.
+    graphs = random_corpus + cubic_tf_corpus + cubic_g5_corpus + list(named_graphs.values())
+    graphs += [zf.cycle(n) for n in range(3, 10)] + [zf.path(n) for n in range(1, 10)]
+    graphs += [zf.complete_bipartite(a, b) for a in range(1, 6) for b in range(a, 6)]
+    for g in graphs + [_disjoint_union(g, zf.path(1)) for g in graphs]:
+        assert zf.bounds_report(g).proven_lower == _static_lower_reference(g), zf.to_graph6(g)
+
+
+@pytest.mark.parametrize("d", [12, 20])
+def test_budget_stop_settles_balanced_complete_bipartite(d):
+    # Unbudgeted, K_{D,D} closes nearly every subset of one side; at a budget
+    # the pushed full set (cost 2D - 2) meets the girth-degree bound at
+    # girth 4, 2(D - 2) + 2, so the stop is complete.
+    res = zf.zero_forcing_number(zf.complete_bipartite(d, d), 200)
+    assert res.complete and res.value == 2 * d - 2
 
 
 @pytest.mark.parametrize("name, z, budget", [("petersen", 5, 16), ("heawood", 6, 39)])

@@ -103,11 +103,12 @@ def test_submodules_resolve_from_the_package():
 
 
 def test_only_a_budget_stop_loads_the_rational_bounds():
-    # The exact solver needs ratmath (and with it fractions and decimal)
-    # only for the static lower bound of a stopped component.
+    # The exact solver reads the bound catalog (and with it ratmath,
+    # fractions and decimal) only for the lower end of a stopped component.
     solve = "import zforce as zf\nzf.zero_forcing_number(zf.path(3){})\n"
-    assert "zforce.ratmath" not in loaded_after(solve.format(""))
-    assert "zforce.ratmath" in loaded_after(solve.format(", 0"))
+    unbudgeted, stopped = loaded_after(solve.format("")), loaded_after(solve.format(", 0"))
+    assert "zforce.bounds" not in unbudgeted and "zforce.ratmath" not in unbudgeted
+    assert "zforce.bounds" in stopped and "zforce.ratmath" in stopped
 
 
 @pytest.mark.parametrize("argv", [["exact", "--quiet", "--g6", "C~"],
