@@ -13,10 +13,7 @@ test's monkeypatch for instance, shows through ``zforce.<name>`` too.
 from importlib import import_module as _import_module
 
 _SOURCES = {
-    "graph": (
-        "Graph", "VertexSet", "bit_list", "bits", "girth",
-        "is_connected", "mask_of", "shortest_cycle",
-    ),
+    "graph": ("Graph", "VertexSet", "bit_list", "bits", "is_connected", "mask_of"),
     "codec": (
         "Graph6Error", "parse_edge_list", "parse_graph6", "to_dot",
         "to_edge_list", "to_graph6",

@@ -22,7 +22,7 @@ from math import ceil
 from typing import TYPE_CHECKING
 
 from .families import ExceptionalGraph, exceptional_tag
-from .graph import Graph, girth, is_connected
+from .graph import Graph, is_connected
 from .ratmath import (
     fraction_json,
     girth5_regular_factor,
@@ -150,13 +150,6 @@ def expected_size(g: Graph) -> Fraction:
 # -- the full report ---------------------------------------------------------
 
 
-def _has_k33_component(g: Graph) -> bool:
-    # The caller has checked that g is cubic and triangle-free.  The only
-    # cubic graphs on six vertices are K_3,3 and the prism, which has
-    # triangles, so a six-vertex component is K_3,3.
-    return any(comp.bit_count() == 6 for comp in g.components)
-
-
 @dataclass(frozen=True)
 class BoundReport:
     """The catalog's entries on one graph and what they decided."""
@@ -176,7 +169,7 @@ class BoundReport:
     def to_json_dict(self, g: Graph) -> dict:
         """The report with the statistics and informational values of g,
         the graph it was made for."""
-        gir, r = girth(g), g.is_regular()
+        gir, r = g.girth, g.is_regular()
         info: dict = {}
         if r is not None and r >= 1 and (gir or 5) >= 5:
             info["regular_first_order"] = {
@@ -216,7 +209,7 @@ def bounds_report(g: Graph, exact: ExactResult | None = None) -> BoundReport:
     construction), in ``conjecture_flags`` if conjectured (a discovery).
     """
     n, d, delta = g.n, g.max_degree(), g.min_degree()
-    gir = girth(g)
+    gir = g.girth
     girth5 = gir is None or gir >= 5
     conn = is_connected(g)
     r = g.is_regular()
@@ -248,10 +241,13 @@ def bounds_report(g: Graph, exact: ExactResult | None = None) -> BoundReport:
     entry("regular_girth5", "upper", PROVEN, "prod(1 - 1/(ri+1)) * n for r-regular, girth >= 5",
           "graph is not regular" if r is None else "" if girth5 else f"girth {gir} < 5",
           lambda: girth5_regular_factor(r) * n)
+    # The only cubic graphs on six vertices are K_3,3 and the prism, which
+    # has triangles, so in a cubic triangle-free graph a six-vertex
+    # component is K_3,3.
     entry("cubic_trianglefree", "upper", PROVEN, "sum of type probabilities, cubic triangle-free",
           "graph is not cubic" if r != 3
           else "graph has a triangle" if gir == 3
-          else "a component is K_3,3" if _has_k33_component(g) else "",
+          else "a component is K_3,3" if any(c.bit_count() == 6 for c in g.components) else "",
           lambda: expected_size(g))
     entry("girth_degree", "lower", PROVEN if gir in GIRTH_DEGREE_PROVEN else CONJECTURED,
           "(g-2)(delta-2)+2 for finite girth, min degree >= 2",

@@ -29,7 +29,7 @@ skipped before its closure runs.  Closure is monotone, so the skipped
 step reaches a subset of T; and from a superset the same vertex costs no
 more and reaches a superset, so finishing from T is never dearer.
 Restart: each closed set keeps the stalled set ``closure_core`` returned
-for it (its vertices that still have unfilled neighbours), and a step
+for it (its vertices with two or more unfilled neighbours), and a step
 recloses from stalled | U instead of S | U.  Reuse: each solve maps
 every step input S | U that ran a closure to that closure, one int per
 closure that ran; closed sets are found in the records.  A step whose

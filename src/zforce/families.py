@@ -6,7 +6,7 @@ import random
 from enum import Enum
 from itertools import combinations
 
-from .graph import Graph, bit_list, girth, is_connected, mask_of
+from .graph import Graph, bit_list, is_connected, mask_of
 
 
 def complete(n: int) -> Graph:
@@ -176,7 +176,7 @@ def random_regular(n: int, r: int, seed: int, *, min_girth: int | None = None,
             rows[v] |= 1 << u
         else:
             g = Graph(n, tuple(rows))
-            if min_girth is None or (girth(g) or n + 1) >= min_girth:
+            if min_girth is None or (g.girth or n + 1) >= min_girth:
                 return g
     raise ValueError(f"no simple {r}-regular sample for n={n} within {max_tries} tries")
 

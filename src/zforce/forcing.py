@@ -73,7 +73,8 @@ def closure_core(adj: tuple[int, ...], filled: int, pending: int) -> tuple[int, 
 
 
 def closure_mask(g: Graph, z: VertexSet) -> VertexSet:
-    """The closure of z as a bitmask (no trace); the solver hot path."""
+    """The closure of z as a bitmask, checked and untraced: what
+    ``is_zero_forcing_set`` runs."""
     _check_subset(g, z)
     return closure_core(g.adj, z, z)[0]
 

@@ -102,9 +102,6 @@ class Graph:
     def edge_count(self) -> int:
         return sum(self.degrees) // 2
 
-    def degree(self, v: int) -> int:
-        return self.degrees[v]
-
     def closed_neighborhood(self, v: int) -> VertexSet:
         return self.adj[v] | (1 << v)
 
@@ -264,26 +261,6 @@ def reachable(g: Graph, start: int, within: VertexSet | None = None) -> VertexSe
 
 def is_connected(g: Graph) -> bool:
     return len(g.components) == 1
-
-
-def girth(g: Graph) -> int | None:
-    """Length of a shortest cycle, or None for forests.
-
-    Computed once per graph and cached on it, so repeated calls on the
-    same instance cost nothing.
-    """
-    return g.girth
-
-
-def shortest_cycle(g: Graph) -> list[int] | None:
-    """A shortest cycle as a vertex list, or None for forests.
-
-    Deterministic: among shortest cycles the first one met from the
-    smallest root is returned.  Computed on first request, from the
-    girth, and cached on the graph.
-    """
-    cyc = g.shortest_cycle
-    return None if cyc is None else list(cyc)
 
 
 def _root_path(parent: list[int], v: int) -> list[int]:

@@ -38,7 +38,7 @@ from .forcing import (
     closure_core,
     is_zero_forcing_set,
 )
-from .graph import Graph, VertexSet, bit_list, bits, girth, is_connected, mask_of, reachable, shortest_cycle
+from .graph import Graph, VertexSet, bit_list, bits, is_connected, mask_of, reachable
 from .ratmath import fraction_json, log_budget, running_ratio_ok, subcubic_girth5_value
 
 
@@ -83,7 +83,7 @@ def _check_subcubic(g: Graph) -> None:
     """Raise ValueError unless g meets the hypothesis of the subcubic
     girth-5 construction: connected, with D = 3 and girth >= 5 (a forest
     counts)."""
-    if g.max_degree() != 3 or not is_connected(g) or (girth(g) or 5) < 5:
+    if g.max_degree() != 3 or not is_connected(g) or (g.girth or 5) < 5:
         raise ValueError("the subcubic construction needs a connected graph "
                          "of maximum degree 3 and girth >= 5")
 
@@ -117,7 +117,7 @@ def _closed_union(g: Graph, vertices) -> VertexSet:
     return m
 
 
-def _girth5_seed(g: Graph, cyc: list[int]) -> VertexSet:
+def _girth5_seed(g: Graph, cyc: tuple[int, ...]) -> VertexSet:
     """Seed construction along a shortest cycle of length >= 5.
 
     Phase 1 of ``find_seed`` succeeds whenever some degree is at most
@@ -128,7 +128,7 @@ def _girth5_seed(g: Graph, cyc: list[int]) -> VertexSet:
     """
     glen = len(cyc)
     cmask = mask_of(cyc)
-    if all(g.degree(v) >= 3 for v in cyc):
+    if all(g.degrees[v] >= 3 for v in cyc):
         # Keep every closed cycle neighborhood, dropping one private
         # off-cycle neighbor per cycle vertex; each gets forced back.
         drop = 0
@@ -136,7 +136,7 @@ def _girth5_seed(g: Graph, cyc: list[int]) -> VertexSet:
             off = g.adj[v] & ~cmask
             drop |= off & -off
         return _closed_union(g, cyc) & ~drop
-    deg3 = [i for i, v in enumerate(cyc) if g.degree(v) == 3]
+    deg3 = [i for i, v in enumerate(cyc) if g.degrees[v] == 3]
     if len(deg3) <= glen - 2:
         # The first degree-3 vertex and the cycle successor of every
         # degree-3 vertex: the whole cycle then forces around, shedding
@@ -146,11 +146,11 @@ def _girth5_seed(g: Graph, cyc: list[int]) -> VertexSet:
             z0 |= 1 << cyc[(i + 1) % glen]
         return z0
     # Exactly one degree-2 vertex: the cycle minus its successor.
-    j = next(i for i, v in enumerate(cyc) if g.degree(v) == 2)
+    j = next(i for i, v in enumerate(cyc) if g.degrees[v] == 2)
     return cmask & ~(1 << cyc[(j + 1) % glen])
 
 
-def _short_girth_candidates(g: Graph, cyc: list[int]):
+def _short_girth_candidates(g: Graph, cyc: tuple[int, ...]):
     """Seed candidates for girth 3 or 4, mirroring every shape the ratio
     argument ever uses: subsets of the cycle, and unions of at most four
     closed neighborhoods (cycle vertices plus at most one vertex within
@@ -200,7 +200,7 @@ def _seed_candidates(g: Graph, d: int):
             closed = g.closed_neighborhood(v)
             for u in neighbors[v]:
                 yield closed & ~(1 << u)
-    cyc = shortest_cycle(g)
+    cyc = g.shortest_cycle
     if cyc is None:  # min degree >= 2 here, so a cycle must exist
         raise AssertionError("connected graph with all degrees >= 2 has a cycle")
     if len(cyc) >= 5:
@@ -436,7 +436,7 @@ def find_extension_subgraph(g: Graph, f: VertexSet) -> ExtensionSubgraph:
     if f.bit_count() < 3 or reachable(g, (f & -f).bit_length() - 1, f) != f:
         raise ValueError("f must induce a connected subgraph of order >= 3")
     r = g.full_mask ^ f
-    if not any(g.degree(v) >= 2 for v in bits(r)):
+    if not any(g.degrees[v] >= 2 for v in bits(r)):
         raise ValueError("the unfilled region has no vertex of degree >= 2")
     return _least_pattern(g, f, boundary)
 
@@ -497,7 +497,7 @@ def subcubic_girth5_zfs(g: Graph) -> HeuristicResult:
     """
     _check_subcubic(g)
     n = g.n
-    v = next(v for v in range(n) if g.degree(v) == 3)
+    v = next(v for v in range(n) if g.degrees[v] == 3)
     u = (g.adj[v] & -g.adj[v]).bit_length() - 1
     z = g.closed_neighborhood(v) ^ (1 << u)
     adj = g.adj
@@ -507,7 +507,7 @@ def subcubic_girth5_zfs(g: Graph) -> HeuristicResult:
     # Each closure is checked connected as it is made, and the loop runs
     # while the unfilled region has a vertex of degree >= 2; with the
     # check on g above, that is every precondition of the pattern search.
-    branching = mask_of([w for w in range(n) if g.degree(w) >= 2])
+    branching = mask_of([w for w in range(n) if g.degrees[w] >= 2])
     while branching & ~filled:
         pattern = _least_pattern(g, filled, boundary)
         add = _augmentation(g, filled, pattern)

@@ -95,7 +95,7 @@ def test_criterion_03_girth_lower_sandwich(random_corpus, cubic_g5_corpus, exact
             continue
     checked = 0
     for g in pool:
-        gir = zf.girth(g)
+        gir = g.girth
         if gir not in (5, 6) or g.min_degree() < 2 or g.n > 16:
             continue
         bound = (gir - 2) * (g.min_degree() - 2) + 2

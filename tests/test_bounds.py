@@ -252,7 +252,7 @@ def test_type_four_and_six_witnesses():
         return [(u, a), (u, b), (u, c), (w, a), (w, b), (w, c),
                 (s1, a), (s1, b), (s3, c)]
     g = zf.Graph.from_edges(14, gadget(0) + gadget(7) + [(5, 13), (6, 12), (6, 13)])
-    assert g.is_regular() == 3 and zf.girth(g) == 4
+    assert g.is_regular() == 3 and g.girth == 4
     assert classify(g, 0).index == 6
     assert classify(g, 0).probability == Fraction(269, 420)
     counts = type_counts(g)
@@ -338,7 +338,7 @@ def test_cubic_trianglefree_entry(cubic_tf_corpus):
 def test_type_census_matches_the_per_vertex_definitions(cubic_tf_corpus, cubic_g5_corpus):
     # the entry, taken from expected_size, must equal the seven-type census
     large = [zf.random_regular(n, 3, n, min_girth=4) for n in range(30, 201, 10)]
-    assert sum(zf.girth(g) == 4 for g in large) >= 10
+    assert sum(g.girth == 4 for g in large) >= 10
     for g in cubic_tf_corpus + cubic_g5_corpus + large:
         types = [classify(g, u) for u in range(g.n)]
         assert all(t.probability == TYPE_PROBABILITIES[t.index] for t in types)

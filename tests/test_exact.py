@@ -217,7 +217,7 @@ def _static_lower_reference(g):
     """The budget stop's own rule before it read the catalog: the
     girth-degree bound at girth 3 to 6 with minimum degree >= 2, else
     Z >= max(delta, 1)."""
-    gir, delta = zf.girth(g), g.min_degree()
+    gir, delta = g.girth, g.min_degree()
     if gir in (3, 4, 5, 6) and delta >= 2:
         return (gir - 2) * (delta - 2) + 2
     return max(delta, 1)

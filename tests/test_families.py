@@ -21,17 +21,17 @@ def test_generate_dispatch_and_arity():
 def test_complete_bipartite_girth_four():
     for a in range(2, 5):
         for b in range(2, 5):
-            assert zf.girth(zf.complete_bipartite(a, b)) == 4
+            assert zf.complete_bipartite(a, b).girth == 4
 
 
 def test_petersen_shape():
     g = zf.generate("petersen")
-    assert g.n == 10 and g.is_regular() == 3 and zf.girth(g) == 5
+    assert g.n == 10 and g.is_regular() == 3 and g.girth == 5
 
 
 def test_heawood_shape():
     g = zf.heawood()
-    assert g.n == 14 and g.is_regular() == 3 and zf.girth(g) == 6
+    assert g.n == 14 and g.is_regular() == 3 and g.girth == 6
 
 
 def test_g1_shape():
@@ -51,7 +51,7 @@ def test_g2_shape_and_complement_structure():
     for c in comps:
         sub = comp.induced(c)
         assert sub.is_regular() == 2
-        assert zf.girth(sub) == sub.n
+        assert sub.girth == sub.n
 
 
 def test_subdivided_k33_shape_and_value():
@@ -78,7 +78,7 @@ def test_random_regular_is_simple_and_regular():
 
 def test_random_regular_girth_filter():
     g = zf.random_regular(16, 3, seed=1, min_girth=5)
-    assert (zf.girth(g) or 99) >= 5
+    assert (g.girth or 99) >= 5
 
 
 def test_random_regular_rejects_bad_params():

@@ -178,32 +178,32 @@ def girth_oracle(g: Graph):
 
 
 def test_girth_simple_cases():
-    assert zf.girth(zf.cycle(7)) == 7
-    assert zf.girth(zf.path(5)) is None
-    assert zf.girth(zf.complete(4)) == 3
-    assert zf.girth(zf.complete_bipartite(2, 2)) == 4
+    assert zf.cycle(7).girth == 7
+    assert zf.path(5).girth is None
+    assert zf.complete(4).girth == 3
+    assert zf.complete_bipartite(2, 2).girth == 4
 
 
 def test_girth_petersen_is_five():
-    assert zf.girth(zf.generate("petersen")) == 5
+    assert zf.generate("petersen").girth == 5
     assert girth_oracle(zf.generate("petersen")) == 5
 
 
 def test_girth_matches_oracle_on_corpus(random_corpus):
     for g in random_corpus[:150]:
-        assert zf.girth(g) == girth_oracle(g)
+        assert g.girth == girth_oracle(g)
 
 
 def test_cached_girth_matches_a_fresh_bfs(random_corpus, cubic_g5_corpus):
     for g in random_corpus[:100] + cubic_g5_corpus[:10]:
-        first = zf.girth(g)
-        assert zf.girth(g) == first == girth_oracle(g)
+        first = g.girth
+        assert g.girth == first == girth_oracle(g)
 
 
 def test_girth_cache_leaves_equality_and_hash_alone():
     g = zf.generate("petersen")
     twin = Graph(g.n, g.adj)
-    assert zf.girth(g) == 5
+    assert g.girth == 5
     assert "girth" in vars(g) and "girth" not in vars(twin)
     assert g == twin and hash(g) == hash(twin)
     assert len({g, twin}) == 1
@@ -212,13 +212,13 @@ def test_girth_cache_leaves_equality_and_hash_alone():
 def test_forest_iff_girth_infinite(random_corpus):
     for g in random_corpus[:150]:
         is_forest = g.edge_count() == g.n - len(g.components)
-        assert (zf.girth(g) is None) == is_forest
+        assert (g.girth is None) == is_forest
 
 
 def test_shortest_cycle_is_shortest_and_real(random_corpus):
     for g in random_corpus[:100]:
-        target = zf.girth(g)
-        cyc = zf.shortest_cycle(g)
+        target = g.girth
+        cyc = g.shortest_cycle
         if target is None:
             assert cyc is None
             continue
@@ -231,7 +231,7 @@ def test_shortest_cycle_is_shortest_and_real(random_corpus):
 def shortest_cycle_reference(g: Graph):
     """The two-pass search: the girth first, then a second BFS from each
     root in turn until a walk of that length meets only at the root."""
-    target = zf.girth(g)
+    target = g.girth
     if target is None:
         return None
     for root in range(g.n):
@@ -256,7 +256,7 @@ def shortest_cycle_reference(g: Graph):
                         while parent[right[-1]] != -1:
                             right.append(parent[right[-1]])
                         if len(set(left) & set(right)) == 1:  # meet only at the root
-                            return left[::-1] + right[:-1]
+                            return tuple(left[::-1] + right[:-1])
             queue = nxt
     raise AssertionError("shortest cycle not reconstructed")
 
@@ -272,4 +272,4 @@ def test_shortest_cycle_matches_the_two_pass_search(random_corpus, cubic_tf_corp
     sparse = [zf.random_gnp(n, 3 / n, n) for n in range(30, 201, 10)]
     for g in (random_corpus + cubic_tf_corpus + cubic_g5_corpus + list(named_graphs.values())
               + construct_pool() + sparse):
-        assert zf.shortest_cycle(g) == shortest_cycle_reference(g)
+        assert g.shortest_cycle == shortest_cycle_reference(g)

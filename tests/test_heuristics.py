@@ -15,7 +15,7 @@ from test_bounds import subcubic_size_ok
 from test_forcing import with_isolated_vertex
 from zforce import forcing, heuristics
 from zforce.families import _shuffle, _stream_seed
-from zforce.graph import bit_list, bits, mask_of, shortest_cycle
+from zforce.graph import bit_list, bits, mask_of
 from zforce.heuristics import (
     ExtensionSubgraph,
     _augmentation,
@@ -52,7 +52,7 @@ def test_seed_rule_rejects_a_petersen_neighbourhood_seed():
 def test_low_degree_seed_always_works(random_corpus):
     for g in random_corpus:
         d = g.max_degree()
-        low = [v for v in range(g.n) if g.degree(v) <= d - 2 and g.degree(v) >= 1]
+        low = [v for v in range(g.n) if g.degrees[v] <= d - 2 and g.degrees[v] >= 1]
         if not low or not zf.is_connected(g):
             continue
         v = low[0]
@@ -87,11 +87,11 @@ DEGREE_2_CYCLE_SEEDS = {
 def test_girth5_seed_with_degree_2_cycle_vertices():
     for code, degree_2 in DEGREE_2_CYCLE_SEEDS.items():
         g = zf.parse_graph6(code)
-        assert g.max_degree() == 3 and zf.girth(g) >= 5
+        assert g.max_degree() == 3 and g.girth >= 5
         assert not any(meets_seed_rule(g, g.closed_neighborhood(v) & ~(1 << u))
                        for v in range(g.n) for u in g.neighbors[v])
-        cyc = shortest_cycle(g)
-        assert sum(g.degree(v) == 2 for v in cyc) == degree_2
+        cyc = g.shortest_cycle
+        assert sum(g.degrees[v] == 2 for v in cyc) == degree_2
         z0 = find_seed(g)
         assert z0 == heuristics._girth5_seed(g, cyc) and meets_seed_rule(g, z0)
         res = greedy_ratio_zfs(g)
@@ -244,7 +244,7 @@ def test_greedy_extend_matches_the_full_recompute_loop(random_corpus, cubic_tf_c
         seeds = [find_seed(g)]
         for _ in range(3):  # random valid seeds start from other closures
             v = rng.randrange(g.n)
-            u = bit_list(g.adj[v])[rng.randrange(g.degree(v))]
+            u = bit_list(g.adj[v])[rng.randrange(g.degrees[v])]
             seeds.append(g.closed_neighborhood(v) ^ (1 << u) | 1 << rng.randrange(g.n))
         for z0 in seeds:
             if meets_seed_rule(g, z0):
@@ -409,7 +409,7 @@ def regular_by_random_shuffle(n, r, seed, min_girth, max_tries):
             rows[v] |= 1 << u
         else:
             g = zf.Graph(n, tuple(rows))
-            if min_girth is None or (zf.girth(g) or n + 1) >= min_girth:
+            if min_girth is None or (g.girth or n + 1) >= min_girth:
                 return g
     raise ValueError(f"no simple {r}-regular sample for n={n} within {max_tries} tries")
 
@@ -498,7 +498,7 @@ def test_isolated_vertex_probability_one():
     # an isolated vertex's union sizes (1,) are a K2 vertex's neighbor
     # degrees: the memo of one graph must not answer for the other
     triangle_and_k1 = zf.Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])
-    assert zf.girth(triangle_and_k1) == 3
+    assert triangle_and_k1.girth == 3
     assert zf.expected_size(triangle_and_k1) == 3
     assert zf.expected_size(zf.complete(2)) == 1
 
@@ -537,7 +537,7 @@ def pattern_candidates(g, f, cap_order):
                     continue
                 path.append(y)
                 on_path |= 1 << y
-                deg = g.degree(y)
+                deg = g.degrees[y]
                 if deg == 2 and len(path) <= cap_order:
                     yield (len(path), len(path) - 1, "a", tuple(path), ())
                 if deg == 1 and len(path) >= 3 and len(path) <= cap_order:
@@ -551,7 +551,7 @@ def pattern_candidates(g, f, cap_order):
 
 
 def _start_state(g):
-    v = next(v for v in range(g.n) if g.degree(v) == 3)
+    v = next(v for v in range(g.n) if g.degrees[v] == 3)
     u = (g.adj[v] & -g.adj[v]).bit_length() - 1
     return zf.closure_mask(g, g.closed_neighborhood(v) ^ (1 << u))
 
@@ -586,7 +586,7 @@ def test_extension_subgraph_cycle_through_boundary_type_d():
         (4, 8), (5, 9), (6, 10), (7, 9), (7, 10), (8, 10), (8, 11),
         (9, 11), (11, 12),
     ])
-    assert g.max_degree() == 3 and zf.girth(g) == 5
+    assert g.max_degree() == 3 and g.girth == 5
     f = mask_of([0, 1, 2])
     assert zf.closure_mask(g, f) == f
     h = find_extension_subgraph(g, f)
@@ -602,7 +602,7 @@ def test_extension_subgraph_remote_cycle_type_e():
     g6 = ("dg??P??@?O????A?E??????O?A??O?_GC@?O??A???_?C@?@?_???@_?AO?_B?"
           "?_??OAO?C?A?_??O?KG????_??A?C?K??C@??G?@???C??D??@")
     g = zf.parse_graph6(g6)
-    assert g.max_degree() == 3 and zf.girth(g) == 5
+    assert g.max_degree() == 3 and g.girth == 5
     f = mask_of([0, 1, 2])
     assert zf.closure_mask(g, f) == f
     h = find_extension_subgraph(g, f)
@@ -617,7 +617,7 @@ def test_search_by_increasing_order_matches_the_full_cap(cubic_g5_corpus):
     calls = 0
     for g in cubic_g5_corpus:
         filled = _start_state(g)
-        while any(g.degree(w) >= 2 for w in bits(g.full_mask ^ filled)):
+        while any(g.degrees[w] >= 2 for w in bits(g.full_mask ^ filled)):
             h = find_extension_subgraph(g, filled)
             _, _, kind, path, cyc = min(pattern_candidates(g, filled, log_budget(g.n) + 1))
             assert (h.kind, h.path, h.cycle) == (kind, path, cyc)

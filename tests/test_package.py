@@ -20,11 +20,11 @@ SURFACE = [
     "bit_list", "bits", "bounds_report", "brute_force_oracle", "closure", "closure_mask",
     "complete", "complete_bipartite", "complete_bipartite_parts", "cycle",
     "exceptional_tag", "expected_size", "find_extension_subgraph", "find_seed", "g1", "g2",
-    "generate", "girth", "girth5_regular_factor", "greedy_extend", "greedy_ratio_zfs",
+    "generate", "girth5_regular_factor", "greedy_extend", "greedy_ratio_zfs",
     "harmonic", "heawood", "is_connected", "is_zero_forcing_set", "log2_overestimate",
     "lower_girth_degree", "mask_of", "parse_edge_list", "parse_graph6", "path",
     "permutation_to_set", "petersen", "random_gnp", "random_regular", "random_zfs",
-    "shortest_cycle", "subcubic_girth5_value", "subcubic_girth5_zfs", "subdivided_k33",
+    "subcubic_girth5_value", "subcubic_girth5_zfs", "subdivided_k33",
     "to_dot", "to_edge_list", "to_graph6", "trace_violation",
     "vertex_probability", "zero_forcing_number",
 ]
@@ -64,6 +64,20 @@ def test_import_loads_no_submodule():
 def test_surface_is_pinned():
     assert sorted(zf.__all__) == SURFACE
     assert set(SURFACE) <= set(dir(zf))
+
+
+# Each invariant is read one way: ``degrees``, ``girth`` and
+# ``shortest_cycle`` are the values themselves, with no accessor beside them.
+GRAPH_SURFACE = [
+    "adj", "closed_neighborhood", "complement", "components", "degrees", "edge_count",
+    "edges", "from_edges", "full_mask", "girth", "induced", "is_regular", "max_degree",
+    "min_degree", "n", "neighbors", "shortest_cycle",
+]
+
+
+def test_graph_surface_is_pinned():
+    g = zf.petersen()
+    assert [name for name in dir(g) if not name.startswith("_")] == GRAPH_SURFACE
 
 
 def test_names_are_the_defining_modules_objects():
